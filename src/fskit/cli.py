@@ -5,7 +5,8 @@ Subcommands operate on a presentation file (DSL: `colors a b` then
 either signed generator words (`A1 B1^-1`) or fractions
 (`[ b1 | id | a1 ]`).
 
-Exit codes: 0 success, 1 usage/parse error, 2 validation error,
+Exit codes: 0 success, 1 usage/parse error (also check-simple --max-len < 1
+and plot --depth < 0), 2 validation error,
 3 representation overflow / inconclusive probe, 10 check-simple found a
 collapse.
 """
@@ -99,9 +100,7 @@ def cmd_germs(args) -> int:
 def cmd_check_simple(args) -> int:
     p = _load(args.presentation)
     cls = require_class(p)
-    report = probe_mod.probe(
-        cls, args.max_len, jobs=args.jobs, presentation_name=p.name
-    )
+    report = probe_mod.probe(cls, args.max_len, presentation_name=p.name)
     print(report.to_json())
     if report.outcome == "CollapseFound":
         return EXIT_COLLAPSE
@@ -217,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("check-simple", cmd_check_simple, help="good-word collapse probe")
     sp.add_argument("--max-len", type=int, required=True)
-    sp.add_argument("--jobs", type=int, default=1)
 
     sp = add("eval", cmd_eval, help="evaluate an element at a point")
     sp.add_argument("-e", "--element", required=True)

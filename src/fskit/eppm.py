@@ -189,36 +189,46 @@ def restrict_piece(p: Piece, w: str) -> Optional[Piece]:
 
 
 def restrict_family(f: Family, w: str) -> tuple[list[Piece], list[Family]]:
+    """The pieces and families of f inside the cone w, pieces in (layer,
+    block) order."""
     db, c, cp = f.dom_base, f.dom_step, f.ran_step
     if db.startswith(w):
         return [], [f]
     if not w.startswith(db):
         return [], []
     delta = w[len(db) :]
-    ones = 0
-    while ones < len(delta) and delta[ones] == "1":
-        ones += 1
-    pieces: list[Piece] = []
-    fams: list[Family] = []
+    ones = _lead_ones(delta)
     if ones == len(delta):
         m0 = -(-ones // c)  # ceil
-        layer_range = range(m0)
-        fams.append(
-            replace(
-                f,
-                dom_base=db + _ones(m0 * c),
-                ran_base=f.ran_base + _ones(m0 * cp),
-            )
+        pieces = []
+        for m in range(m0):
+            for block in f.blocks:
+                r = restrict_piece(f.piece_at(m, block), w)
+                if r is not None:
+                    pieces.append(r)
+        rest = replace(
+            f, dom_base=db + _ones(m0 * c), ran_base=f.ran_base + _ones(m0 * cp)
         )
-    else:
-        layer_range = range(ones // c + 1)
-    for m in layer_range:
-        for block in f.blocks:
-            cand = f.piece_at(m, block)
-            r = restrict_piece(cand, w)
+        return pieces, [rest]
+    # the cone is db.1^ones.0...: a block d with l < len(d) leading 1s starts
+    # 1^(mc + l).0 at layer m, so only layer (ones - l)/c can meet it; an
+    # all-1s block can meet it at every layer up to ones/c
+    hits: list[tuple[int, int, Piece]] = []
+    for i, block in enumerate(f.blocks):
+        d = block[0]
+        lead = _lead_ones(d)
+        if lead == len(d):
+            layers: Iterable[int] = range(ones // c + 1)
+        elif lead <= ones and (ones - lead) % c == 0:
+            layers = ((ones - lead) // c,)
+        else:
+            continue
+        for m in layers:
+            r = restrict_piece(f.piece_at(m, block), w)
             if r is not None:
-                pieces.append(r)
-    return pieces, fams
+                hits.append((m, i, r))
+    hits.sort(key=lambda hit: hit[:2])
+    return [r for _, _, r in hits], []
 
 
 def restrict(f: Eppm, w: str) -> Eppm:

@@ -26,13 +26,13 @@ class NotCyclicOrderPreserving(EppmError):
 
 @dataclass(frozen=True)
 class Dyadic:
-    """num / 2^exp, normalized so num is odd or (num, exp) = (0, 0)."""
+    """num / 2^exp, normalized so exp == 0 or num is odd."""
 
     num: int
     exp: int
 
     def __post_init__(self):
-        if self.exp < 0 or (self.num % 2 == 0 and not (self.num == 0 and self.exp == 0)):
+        if self.exp < 0 or (self.exp > 0 and self.num % 2 == 0):
             raise ValueError(f"unnormalized dyadic {self.num}/2^{self.exp}")
 
     @property
@@ -119,6 +119,8 @@ def _piece_to_pl(dom: str, ran: str) -> PlPiece:
 
 
 def _expand(f: Eppm, depth: int) -> tuple[list[PlPiece], list[Dyadic]]:
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
     pl: list[PlPiece] = []
     accumulation: list[Dyadic] = []
     for p in f.pieces:

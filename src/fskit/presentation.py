@@ -309,13 +309,12 @@ def enumerate_good_words(cls: TwoColourRightVine, max_len: int) -> Iterator[str]
     kappa(a^i.w') = A1^i kappa(w'), the collapse probe (fskit.probe.probe)
     reports the a-stripped form w' of any a-prefixed collapse."""
     a, b = cls.colour_a, cls.colour_b
-    order = sorted([a, b])
 
     def extend(prefix: str, length: int) -> Iterator[str]:
         if len(prefix) == length:
             yield prefix
             return
-        for ch in order:
+        for ch in (a, b):
             cand = prefix + ch
             # prune: the candidate must still be extendable to a good word,
             # i.e. its non-prefix part must avoid the forbidden subwords

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .dynamics import caret_map, compose, is_power_of_a1
 from .eppm import Eppm, IDENTITY, RepresentationOverflow, evaluate
@@ -29,15 +28,15 @@ from .presentation import (
 from .sequences import ev_periodic
 
 
-def kappa_omega(cls: TwoColourRightVine, word: str) -> Eppm:
-    """Compose A1/B1 per letter, leftmost letter outermost."""
+def kappa_omega(cls: TwoColourRightVine, word: str, start: Eppm = IDENTITY) -> Eppm:
+    """Compose A1/B1 per letter onto `start`, leftmost letter outermost.
+
+    This is a left fold, so kappa_omega(cls, v, kappa_omega(cls, u)) is
+    kappa_omega(cls, u + v), the same Eppm."""
     if not word:
         raise ValueError("kappa_omega needs a non-empty word")
-    letters = {
-        cls.colour_a: caret_map(cls, cls.colour_a, 1),
-        cls.colour_b: caret_map(cls, cls.colour_b, 1),
-    }
-    acc = IDENTITY
+    letters = {ch: caret_map(cls, ch, 1) for ch in set(word)}
+    acc = start
     for ch in word:
         acc = compose(acc, letters[ch])
     return acc
@@ -68,23 +67,47 @@ class ProbeReport:
         return json.dumps(data, sort_keys=True)
 
 
-def _test_word(cls: TwoColourRightVine, word: str):
-    """(word, j or None) or an overflow marker."""
-    try:
-        return word, is_power_of_a1(kappa_omega(cls, word))
-    except RepresentationOverflow:
-        return word, "overflow"
+def good_word_images(
+    cls: TwoColourRightVine, max_len: int
+) -> Iterator[tuple[str, Optional[Eppm]]]:
+    """(w, kappa_omega(cls, w)) for the non-trivial good words w of length
+    <= max_len in enumeration order, None where the map overflowed.
+
+    Each word's map is its prefix's map extended by one letter, the same
+    Eppm as the per-word fold.  The prefix of a non-trivial good word is one
+    of length one less, or a power of a, so only the maps of the previous
+    length are kept.  A prefix whose map overflowed makes every extension
+    overflow, as the per-word fold would."""
+    a = cls.colour_a
+    # maps of the words of the current and the previous length, the power
+    # of a among them
+    level: dict[str, Optional[Eppm]] = {"": IDENTITY}
+    prev: dict[str, Optional[Eppm]] = {}
+    length = 0
+    # the whole enumeration first, so that a trace times it apart from the maps
+    words = list(enumerate_good_words(cls, max_len))
+    for word in words:
+        if len(word) > length:
+            length = len(word)
+            prev = level
+            level = {a * length: kappa_omega(cls, a, prev[a * (length - 1)])}
+        image = prev[word[:-1]]
+        if image is not None:
+            try:
+                image = kappa_omega(cls, word[-1], image)
+            except RepresentationOverflow:
+                image = None
+        level[word] = image
+        yield word, image
 
 
 def probe(
     cls: TwoColourRightVine,
     max_len: int,
-    jobs: int = 1,
     presentation_name: str = "",
 ) -> ProbeReport:
     """Search non-trivial good words of length <= max_len for a collapse
-    kappa_omega(w) = A1^j.  Deterministic: first collapse in enumeration
-    order wins regardless of the degree of parallelism.
+    kappa_omega(w) = A1^j, and report the first in enumeration order.
 
     Since kappa_omega(a^i.w') = A1^i kappa_omega(w') and A1 is injective, a
     collapse of a^i.w' to A1^j is a collapse of w' to A1^(j-i), and w' is a
@@ -92,34 +115,25 @@ def probe(
     a-stripped form of any a-prefixed collapse (unless w' overflowed and is
     listed as inconclusive): for a1 a1 a3 a4 = b1 b2 b3 b4 it is babababab
     with j = 8, not ababababab with j = 9."""
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
     start = time.monotonic()
-    words = list(enumerate_good_words(cls, max_len))
     tested = 0
     inconclusive: list[str] = []
     found: Optional[tuple[str, int]] = None
-
-    if jobs <= 1:
-        results = map(lambda w: _test_word(cls, w), words)
-        for word, res in results:
-            tested += 1
-            if res == "overflow":
-                inconclusive.append(word)
-            elif res is not None:
-                found = (word, res)
-                break
-    else:
-        chunk = max(4 * jobs, 16)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for base in range(0, len(words), chunk):
-                batch = words[base : base + chunk]
-                for word, res in pool.map(lambda w: _test_word(cls, w), batch):
-                    tested += 1
-                    if res == "overflow":
-                        inconclusive.append(word)
-                    elif res is not None and found is None:
-                        found = (word, res)
-                if found:
-                    break
+    for word, image in good_word_images(cls, max_len):
+        tested += 1
+        if image is None:
+            inconclusive.append(word)
+            continue
+        try:
+            j = is_power_of_a1(image)
+        except RepresentationOverflow:
+            inconclusive.append(word)
+            continue
+        if j is not None:
+            found = (word, j)
+            break
 
     seconds = time.monotonic() - start
     if found:

@@ -183,14 +183,32 @@ def test_usage_error(capsys):
     assert code == 1
 
 
-def test_check_simple_jobs_deterministic(fsp, capsys):
-    path = fsp(NONSIMPLE4_TEXT)
-    code1 = main(["check-simple", path, "--max-len", "9"])
-    out1 = json.loads(capsys.readouterr().out)
-    code2 = main(["check-simple", path, "--max-len", "9", "--jobs", "4"])
-    out2 = json.loads(capsys.readouterr().out)
-    assert code1 == code2 == 10
-    assert out1["collapse"] == out2["collapse"]
+def test_check_simple_rejects_jobs(fsp, capsys):
+    code, out, _ = run(
+        capsys, "check-simple", fsp(NONSIMPLE4_TEXT), "--max-len", "9", "--jobs", "4"
+    )
+    assert code == 1 and out == ""
+
+
+@pytest.mark.parametrize("max_len", ["0", "-3"])
+def test_check_simple_rejects_bad_max_len(fsp, capsys, max_len):
+    code, out, err = run(
+        capsys, "check-simple", fsp(NONSIMPLE4_TEXT), "--max-len", max_len
+    )
+    assert code == 1 and out == ""
+    assert "max_len" in err
+
+
+def test_plot_rejects_negative_depth(fsp, capsys):
+    code, out, err = run(
+        capsys, "plot", fsp(J3_TEXT), "-e", "[b1 | id | a1]", "--depth", "-1"
+    )
+    assert code == 1 and out == ""
+    assert "depth" in err
+    code, out, _ = run(
+        capsys, "plot", fsp(J3_TEXT), "-e", "[b1 | id | a1]", "--depth", "0"
+    )
+    assert code == 0 and out.startswith("left,right")
 
 
 def test_plot_wrong_kind_fails_cleanly(fsp, capsys):

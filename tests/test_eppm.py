@@ -1,6 +1,8 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fskit.dynamics import caret_map, evaluate_word, generator_map
 from fskit.eppm import (
@@ -22,6 +24,8 @@ from fskit.eppm import (
     region_equal,
     region_subset,
     restrict,
+    restrict_family,
+    restrict_piece,
     validate_disjoint,
 )
 from fskit.sequences import parse_point
@@ -163,6 +167,56 @@ def test_restrict_family_partial_layers(j3):
     r = restrict(f, "1")
     assert {p.dom for p in r.pieces} == {"10"}
     assert r.families[0].dom_base == "11"
+
+
+def restrict_family_by_scan(f: Family, w: str):
+    """restrict_family by scanning every layer of the 1-run up to the cone,
+    the reference for the direct layer lookup."""
+    db, c, cp = f.dom_base, f.dom_step, f.ran_step
+    if db.startswith(w):
+        return [], [f]
+    if not w.startswith(db):
+        return [], []
+    delta = w[len(db) :]
+    ones = len(delta) - len(delta.lstrip("1"))
+    fams = []
+    if ones == len(delta):
+        m0 = -(-ones // c)
+        layers = range(m0)
+        fams.append(
+            replace(
+                f, dom_base=db + "1" * (m0 * c), ran_base=f.ran_base + "1" * (m0 * cp)
+            )
+        )
+    else:
+        layers = range(ones // c + 1)
+    pieces = []
+    for m in layers:
+        for block in f.blocks:
+            r = restrict_piece(f.piece_at(m, block), w)
+            if r is not None:
+                pieces.append(r)
+    return pieces, fams
+
+
+bit_words = st.text(alphabet="01", max_size=6)
+families = st.builds(
+    Family,
+    dom_base=bit_words,
+    ran_base=bit_words,
+    dom_step=st.integers(1, 4),
+    ran_step=st.integers(1, 4),
+    blocks=st.lists(st.tuples(bit_words, bit_words), max_size=6).map(tuple),
+    carries_limit=st.booleans(),
+)
+
+
+@settings(max_examples=400)
+@given(family=families, ones=st.integers(0, 14), tail=bit_words, based=st.booleans())
+def test_restrict_family_matches_layer_scan(family, ones, tail, based):
+    # cones below the family's base and its 1-run, and arbitrary cones
+    w = (family.dom_base + "1" * ones if based else "") + tail
+    assert restrict_family(family, w) == restrict_family_by_scan(family, w)
 
 
 def test_region_subset_and_total(j3):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from fskit.dynamics import evaluate_fraction
+from fskit.dynamics import evaluate_fraction, parse_element
 from fskit.eppm import IDENTITY, NotOrderPreserving, evaluate
 from fskit.forest import build_tree, parse_caret_word
 from fskit.plrender import (
@@ -39,8 +39,11 @@ def test_dyadic_normalization():
     assert dyadic(4, 2) == Dyadic(1, 0)
     assert dyadic(0, 5) == Dyadic(0, 0)
     assert dyadic(6, 3) == Dyadic(3, 2)
-    with pytest.raises(ValueError):
-        Dyadic(2, 1)
+    # integers are normalized at exp 0, even ones too
+    assert dyadic(-4, 1) == Dyadic(-2, 0)
+    for num, exp in ((2, 1), (0, 3), (1, -1)):
+        with pytest.raises(ValueError):
+            Dyadic(num, exp)
 
 
 def test_decimal_string():
@@ -78,9 +81,7 @@ def test_yb_ya_interval(j3):
     assert m.accumulation_points == (dyadic(1),)
 
 
-def test_yb_ya_pieces_match_evaluation(j3):
-    f = yb_ya(j3)
-    m = to_interval_map(f, 12)
+def assert_pieces_match_evaluation(f, m):
     for piece in m.pieces:
         # left endpoint: the image of the cone's infimum point
         width = piece.right.value - piece.left.value
@@ -91,6 +92,27 @@ def test_yb_ya_pieces_match_evaluation(j3):
         assert piece.apply(piece.left.value) == image.to_fraction()
         image_sup = evaluate(f, ev_periodic(prefix, "1"))
         assert piece.apply(piece.right.value) == image_sup.to_fraction()
+
+
+def test_yb_ya_pieces_match_evaluation(j3):
+    f = yb_ya(j3)
+    assert_pieces_match_evaluation(f, to_interval_map(f, 12))
+
+
+@pytest.mark.parametrize(
+    "name, element, render",
+    [
+        ("j3", "[a1 a1 a3 a4 | id | a1 a2 a2 a3]", to_interval_map),
+        ("nonsimple4", "[a1 a2 | 3 1 2 | a1 b2]", to_circle_map),
+    ],
+)
+def test_even_integer_intercept(name, element, render, request):
+    # both maps have a piece x -> 4x - 2 (the cone 1010 -> 10)
+    f = parse_element(request.getfixturevalue(name), element)
+    m = render(f, 12)
+    assert any(p.intercept == Dyadic(-2, 0) for p in m.pieces)
+    assert_pieces_match_evaluation(f, m)
+    assert emit_svg(m, 512, 512).startswith("<?xml")
 
 
 def test_yb_ya_fixed_points_accumulate(j3):

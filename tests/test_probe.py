@@ -2,10 +2,26 @@ import json
 
 import pytest
 
+from fskit import probe as probe_mod
 from fskit.dynamics import caret_map, is_power_of_a1
-from fskit.eppm import Piece, compose, equals, make_eppm
+from fskit.eppm import (
+    IDENTITY,
+    Piece,
+    RepresentationOverflow,
+    compose,
+    equals,
+    make_eppm,
+)
 from fskit.presentation import enumerate_good_words, good_word_check
-from fskit.probe import WrongShape, certificate_check, kappa_omega, probe
+from fskit.probe import (
+    WrongShape,
+    certificate_check,
+    good_word_images,
+    kappa_omega,
+    probe,
+)
+
+from conftest import vine_class
 
 
 def test_kappa_single_letters(j3):
@@ -72,14 +88,41 @@ def test_probe_vine_pair(rho2):
     assert report.collapse_power == 1
 
 
-def test_probe_deterministic_across_jobs(nonsimple4):
-    seq = probe(nonsimple4, 9)
-    par = probe(nonsimple4, 9, jobs=4)
-    assert (seq.outcome, seq.collapse_word, seq.collapse_power) == (
-        par.outcome,
-        par.collapse_word,
-        par.collapse_power,
-    )
+@pytest.mark.parametrize("name, max_len", [("nonsimple4", 9), ("j3", 10)])
+def test_prefix_shared_images_match_fold(name, max_len, request):
+    # each map is extended from its prefix's, and equals the per-word fold
+    cls = request.getfixturevalue(name)
+    images = list(good_word_images(cls, max_len))
+    assert [w for w, _ in images] == list(enumerate_good_words(cls, max_len))
+    for word, image in images:
+        assert image == kappa_omega(cls, word), word
+
+
+def test_overflowed_prefix_makes_extensions_inconclusive(j3, monkeypatch):
+    b_image = kappa_omega(j3, "b")
+    fold = probe_mod.kappa_omega
+
+    def overflow_past_b(cls, word, start=IDENTITY):
+        if start == b_image:
+            raise RepresentationOverflow("overflow past b")
+        return fold(cls, word, start)
+
+    monkeypatch.setattr(probe_mod, "kappa_omega", overflow_past_b)
+    past_b = [w for w in enumerate_good_words(j3, 5) if w.startswith("b") and w != "b"]
+    assert [w for w, image in good_word_images(j3, 5) if image is None] == past_b
+    report = probe(j3, 5)
+    assert report.outcome == "Inconclusive"
+    assert report.inconclusive == tuple(past_b)
+    assert report.tested == len(list(enumerate_good_words(j3, 5)))
+
+
+def test_probe_follows_colour_order():
+    # nonsimple4 with its colours named the other way round: the words are
+    # renamed, and the report is the same as nonsimple4's up to the renaming
+    relabelled = vine_class("colors b a\nrel b1 b1 b3 b4 = a1 a2 a3 a4\n")
+    report = probe(relabelled, 10)
+    assert (report.outcome, report.tested) == ("CollapseFound", 462)
+    assert (report.collapse_word, report.collapse_power) == ("ababababa", 8)
 
 
 def test_probe_json_round_trip(j3):
