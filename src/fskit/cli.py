@@ -5,8 +5,8 @@ Subcommands operate on a presentation file (DSL: `colors a b` then
 either signed generator words (`A1 B1^-1`) or fractions
 (`[ b1 | id | a1 ]`).
 
-Exit codes: 0 success, 1 usage/parse error (also check-simple --max-len < 1
-and plot --depth < 0), 2 validation error,
+Exit codes: 0 success, 1 usage/parse error (also check-simple --max-len < 1,
+plot --depth < 0 and svg plot --width or --height < 1), 2 validation error,
 3 representation overflow / inconclusive probe, 10 check-simple found a
 collapse.
 """

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from . import eppm
 from .eppm import (
     Eppm,
+    EppmError,
     Family,
     IDENTITY,
     NotBijective,
@@ -45,8 +47,10 @@ from .sequences import EvPeriodic, ev_periodic
 GENERATORS = ("A0", "A1", "B0", "B1")
 
 
+@cache
 def caret_map(cls: TwoColourRightVine, colour: str, direction: int) -> Eppm:
-    """The pointed-caret transformation beta(Y_colour, direction)."""
+    """The pointed-caret transformation beta(Y_colour, direction); memoised,
+    as every argument and the returned Eppm are immutable."""
     if colour == cls.colour_a:
         return make_eppm(pieces=[Piece("", str(direction))])
     if colour != cls.colour_b:
@@ -94,10 +98,6 @@ def parse_signed_word(text: str) -> SignedWord:
             raise ValueError(f"bad generator token {tok!r}")
         word.append((m.group(1), -1 if m.group(2) else 1))
     return tuple(word)
-
-
-def format_signed_word(word: SignedWord) -> str:
-    return " ".join(t + ("^-1" if e == -1 else "") for t, e in word)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ _FRACTION_RE = re.compile(r"^\[([^|\]]*)\|([^|\]]*)\|([^|\]]*)\]$")
 def parse_fraction(text: str) -> tuple[Tree, tuple[int, ...], Tree]:
     from .forest import build_tree, parse_caret_word
 
-    m = _FRACTION_RE.match(text.strip().replace(" ", " "))
+    m = _FRACTION_RE.match(text.strip())
     if not m:
         raise ValueError(f"bad fraction literal {text!r}")
     t = build_tree(parse_caret_word(m.group(1)))
@@ -195,12 +195,6 @@ def is_power_of_a1(f: Eppm) -> Optional[int]:
 # order and cyclic order
 
 
-def _atom_dom_min(atom) -> str:
-    if isinstance(atom, Piece):
-        return atom.dom
-    return atom.dom_base + min(d for d, _ in atom.blocks)
-
-
 def _cone_before(a: str, b: str) -> bool:
     """Whether the cone below a lies entirely before the cone below b."""
     return not a.startswith(b) and not b.startswith(a) and a < b
@@ -217,48 +211,36 @@ def _family_ran_sorted(fam: Family) -> bool:
     return _cone_before(blocks[-1][1], "1" * fam.ran_step + blocks[0][1])
 
 
-def _interval_keys(f: Eppm):
-    """(dom_min, ran_min) word keys per atom, in domain order."""
-    entries = []
-    for p in f.pieces:
-        entries.append((p.dom, p.ran, p))
-    for fam in f.families:
-        blocks = sorted(fam.blocks)
-        entries.append(
-            (fam.dom_base + blocks[0][0], fam.ran_base + blocks[0][1], fam)
-        )
-    entries.sort(key=lambda e: _pad_key(e[0]))
-    return entries
-
-
 def _pad_key(word: str):
     # cone prefixes ordered by their infimum point: u < u.w for w not all 0
     return tuple(int(ch) for ch in word)
 
 
-def is_order_preserving(f: Eppm) -> bool:
+def _ran_keys(f: Eppm, test: str) -> Optional[list[tuple[int, ...]]]:
+    """Keys of the least range cone of each atom of the total map f, in
+    domain order; None if some family's own ranges are out of order."""
     f = canonicalize(f)
     if not is_total(f):
-        raise NotTotal("order test requires a total map")
+        raise NotTotal(f"{test} requires a total map")
+    if not all(_family_ran_sorted(fam) for fam in f.families):
+        return None
+    entries = [(p.dom, p.ran) for p in f.pieces]
     for fam in f.families:
-        if not _family_ran_sorted(fam):
-            return False
-    entries = _interval_keys(f)
-    rans = [_pad_key(r) for _, r, _ in entries]
-    return all(a < b for a, b in zip(rans, rans[1:]))
+        d, r = min(fam.blocks)
+        entries.append((fam.dom_base + d, fam.ran_base + r))
+    entries.sort(key=lambda e: _pad_key(e[0]))
+    return [_pad_key(r) for _, r in entries]
+
+
+def is_order_preserving(f: Eppm) -> bool:
+    rans = _ran_keys(f, "order test")
+    return rans is not None and all(a < b for a, b in zip(rans, rans[1:]))
 
 
 def is_cyclic_order_preserving(f: Eppm) -> bool:
-    f = canonicalize(f)
-    if not is_total(f):
-        raise NotTotal("cyclic order test requires a total map")
-    for fam in f.families:
-        if not _family_ran_sorted(fam):
-            return False
-    entries = _interval_keys(f)
-    rans = [_pad_key(r) for _, r, _ in entries]
-    if len(rans) <= 1:
-        return True
+    rans = _ran_keys(f, "cyclic order test")
+    if rans is None:
+        return False
     descents = sum(1 for a, b in zip(rans, rans[1:] + rans[:1]) if not a < b)
     return descents <= 1
 
@@ -386,13 +368,11 @@ class Germ:
     germs are equal iff the maps agree on a neighbourhood of the point,
     which is decided exactly by re-basing both maps at a *common* depth
     (so their layer phases stay comparable) and comparing the deep
-    restrictions.  The re-based local map at the germ's own depth is kept
-    for display.
+    restrictions.
     """
 
     source: EvPeriodic
     target: EvPeriodic
-    local: Eppm
     depth: int
     map: Eppm
 
@@ -438,7 +418,7 @@ def germ_at(f: Eppm, p: EvPeriodic) -> Germ:
     depth = eppm._max_depth(f) + max(
         [fam.dom_step for fam in f.families] or [1]
     ) + len(p.pre) + len(q.pre) + 2
-    return Germ(p, q, _rebase_local(f, p, q, depth), depth, f)
+    return Germ(p, q, depth, f)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +436,8 @@ def bi_order_compare(f: Eppm, g: Eppm) -> str:
         return "equal"
     h = canonicalize(compose(f, invert(g)))
     deviation = _first_deviation(h)
-    assert deviation is not None
+    if deviation is None:
+        raise EppmError("unequal maps but no piece deviates from the identity")
     dom, ran = deviation
     if len(dom) != len(ran):
         return "greater" if len(dom) > len(ran) else "less"

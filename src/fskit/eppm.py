@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import lcm
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
 from .sequences import EvPeriodic, ev_periodic
 
@@ -61,6 +61,10 @@ class NotOrderPreserving(EppmError):
 
 def _ones(n: int) -> str:
     return "1" * n
+
+
+def _lead_ones(w: str) -> int:
+    return len(w) - len(w.lstrip("1"))
 
 
 @dataclass(frozen=True)
@@ -262,15 +266,11 @@ def evaluate(f: Eppm, p: EvPeriodic) -> EvPeriodic:
             if fam.carries_limit:
                 return ev_periodic(fam.ran_base, "1")
             continue
-        run = rest.leading_run("1")
-        c = fam.dom_step
-        for m in range(run // c + 1):
-            layer = rest.drop(m * c)
-            for d, r in fam.blocks:
-                if d and layer.starts_with(d):
-                    return layer.drop(len(d)).prepend(
-                        fam.ran_base + _ones(m * fam.ran_step) + r
-                    )
+        # p lies in the cone db.1^run.0, whose pieces restrict_family finds
+        cone = fam.dom_base + _ones(rest.leading_run("1")) + "0"
+        for piece in restrict_family(fam, cone)[0]:
+            if p.starts_with(piece.dom):
+                return p.drop(len(piece.dom)).prepend(piece.ran)
     for lp, lq in f.limits:
         if p == lp:
             return lq
@@ -520,10 +520,7 @@ def _split_overflow_blocks(fam: Family) -> list[Family]:
     c, cp = fam.dom_step, fam.ran_step
     by_shift: dict[int, list[tuple[str, str]]] = {}
     for d, r in fam.blocks:
-        lead = 0
-        while lead < len(d) and d[lead] == "1":
-            lead += 1
-        k = lead // c
+        k = _lead_ones(d) // c
         by_shift.setdefault(k, []).append((d[k * c :], r))
     if set(by_shift) == {0}:
         return [fam]
@@ -564,13 +561,6 @@ def _reduce_step(fam: Family) -> Family:
                 break
         else:
             return fam
-
-
-def _lead_ones(w: str) -> int:
-    n = 0
-    while n < len(w) and w[n] == "1":
-        n += 1
-    return n
 
 
 def _rebalance(fam: Family) -> Family:
@@ -755,14 +745,11 @@ def region_subset(f: Eppm, g: Eppm) -> bool:
     def walk(w: str, rf: Eppm, rg: Eppm) -> bool:
         if rf.is_empty():
             return True
-        f_trivial = not rf.pieces and not rf.families
         if any(p.dom == w for p in rg.pieces):
-            if f_trivial:
-                pass  # still fine: points are covered by the full piece
-            return True
+            return True  # g is defined on the whole cone
         if rg.is_empty():
             return False
-        if f_trivial:
+        if not rf.pieces and not rf.families:
             # only isolated points of f remain below w
             return all(in_domain(g, p) for p, _ in rf.limits)
         key = (_region_key(rf, w), _region_key(rg, w))
@@ -819,36 +806,3 @@ def equals(f: Eppm, g: Eppm) -> bool:
         return False
     h = compose(invert(g), f)
     return is_identity_on_domain(h) and region_equal(h, f)
-
-
-# ---------------------------------------------------------------------------
-# validation helpers (used by tests and by fraction assembly)
-
-
-def expanded_pieces(f: Eppm, depth: int) -> Iterator[Piece]:
-    """All pieces, with families unfolded while the dom prefix is shorter
-    than `depth`."""
-    yield from f.pieces
-    for fam in f.families:
-        m = 0
-        while True:
-            emitted = False
-            for block in fam.blocks:
-                piece = fam.piece_at(m, block)
-                if len(piece.dom) <= depth:
-                    emitted = True
-                    yield piece
-            if not emitted:
-                break
-            m += 1
-
-
-def validate_disjoint(f: Eppm, depth: int = 64) -> None:
-    """Check pairwise disjointness of expanded domains and ranges."""
-    doms = [p.dom for p in expanded_pieces(f, depth)]
-    rans = [p.ran for p in expanded_pieces(f, depth)]
-    for words, side in ((doms, "domains"), (rans, "ranges")):
-        for i, u in enumerate(words):
-            for v in words[i + 1 :]:
-                if u.startswith(v) or v.startswith(u):
-                    raise EppmError(f"{side} overlap: {u!r} vs {v!r}")

@@ -103,21 +103,6 @@ def build_tree(word: CaretWord) -> Tree:
     return t
 
 
-def read_back(t: Tree) -> CaretWord:
-    """The canonical (preorder) caret word of t; inverse of build_tree."""
-    out: list[tuple[str, int]] = []
-
-    def rec(sub: Tree, pos: int) -> None:
-        if sub.is_leaf:
-            return
-        out.append((sub.colour, pos))
-        rec(sub.left, pos)
-        rec(sub.right, pos + leaf_count(sub.left))
-
-    rec(t, 1)
-    return tuple(out)
-
-
 _TOKEN = re.compile(r"([a-z]+)([0-9]+)$")
 
 
@@ -133,10 +118,6 @@ def parse_caret_word(text: str) -> CaretWord:
             raise ForestError(f"leaf index must be >= 1 in {tok!r}")
         word.append((colour, idx))
     return tuple(word)
-
-
-def format_caret_word(word: CaretWord) -> str:
-    return " ".join(f"{c}{i}" for c, i in word)
 
 
 # ---------------------------------------------------------------------------
@@ -293,18 +274,6 @@ def vine_decomposition(word: CaretWord) -> CaretWord:
                 changed = True
                 break
     return tuple(w)
-
-
-def vines_of(word: CaretWord) -> tuple[CaretWord, ...]:
-    """Split a vine-decomposed word into its maximal right-vine runs."""
-    w = vine_decomposition(word)
-    runs: list[list[tuple[str, int]]] = []
-    for colour, i in w:
-        if runs and i == runs[-1][-1][1] + 1:
-            runs[-1].append((colour, i))
-        else:
-            runs.append([(colour, i)])
-    return tuple(tuple(r) for r in runs)
 
 
 # ---------------------------------------------------------------------------

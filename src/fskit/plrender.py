@@ -255,6 +255,8 @@ def _svg_coord(fr: Fraction) -> str:
 
 def emit_svg(m: PlMap, width: int = 512, height: int = 512) -> str:
     """Deterministic standalone SVG of the graph on [0,1]^2."""
+    if width < 1 or height < 1:
+        raise ValueError(f"plot size must be at least 1x1, got {width}x{height}")
 
     def x(fr: Fraction) -> str:
         return _svg_coord(fr * width)

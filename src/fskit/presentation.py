@@ -27,7 +27,6 @@ from .forest import (
     caret_count,
     colour_count,
     colours_of,
-    format_caret_word,
     is_monochromatic,
     leaf_addresses,
     leaf_count,
@@ -130,17 +129,6 @@ def parse_presentation(text: str, name: str = "") -> SkeinPresentation:
     if not saw_colors:
         raise PresentationError("missing colors line")
     return SkeinPresentation(colours, tuple(relations), name)
-
-
-def format_presentation(p: SkeinPresentation) -> str:
-    lines = ["colors " + " ".join(p.colours)]
-    for u, v in p.relations:
-        from .forest import read_back
-
-        lines.append(
-            f"rel {format_caret_word(read_back(u))} = {format_caret_word(read_back(v))}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

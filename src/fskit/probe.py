@@ -35,10 +35,9 @@ def kappa_omega(cls: TwoColourRightVine, word: str, start: Eppm = IDENTITY) -> E
     kappa_omega(cls, u + v), the same Eppm."""
     if not word:
         raise ValueError("kappa_omega needs a non-empty word")
-    letters = {ch: caret_map(cls, ch, 1) for ch in set(word)}
     acc = start
     for ch in word:
-        acc = compose(acc, letters[ch])
+        acc = compose(acc, caret_map(cls, ch, 1))
     return acc
 
 
@@ -137,24 +136,16 @@ def probe(
 
     seconds = time.monotonic() - start
     if found:
-        word, j = found
-        return ProbeReport(
-            presentation_name,
-            max_len,
-            "CollapseFound",
-            word,
-            j,
-            tested,
-            tuple(inconclusive),
-            seconds,
-        )
-    outcome = "Inconclusive" if inconclusive else "NoCollapseUpTo"
+        outcome = "CollapseFound"
+    else:
+        outcome = "Inconclusive" if inconclusive else "NoCollapseUpTo"
+    word, j = found or (None, None)
     return ProbeReport(
         presentation_name,
         max_len,
         outcome,
-        None,
-        None,
+        word,
+        j,
         tested,
         tuple(inconclusive),
         seconds,

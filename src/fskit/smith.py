@@ -1,166 +1,62 @@
-"""Exact Smith normal form over the integers.
+"""Exact invariant factors of integer matrices.
 
-Returns unimodular U, V and diagonal D with U*A*V = D and the diagonal
-entries forming a divisibility chain d1 | d2 | ... .  All arithmetic uses
-Python integers, so the invariant factors are bit-exact.
+Integer row and column operations diagonalise the matrix; replacing
+diagonal pairs (x, y) by (gcd, lcm) then puts the diagonal in divisibility
+order d1 | d2 | ... without changing the group Z^cols / rows.  All
+arithmetic uses Python integers, so the factors are bit-exact.
 """
 
 from __future__ import annotations
 
+from math import gcd
+
 Matrix = list[list[int]]
 
 
-def _identity(n: int) -> Matrix:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner = len(a), len(b)
-    cols = len(b[0]) if inner else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            x = a[i][k]
-            if x:
-                row_b = b[k]
-                row_o = out[i]
-                for j in range(cols):
-                    row_o[j] += x * row_b[j]
-    return out
-
-
-def det(m: Matrix) -> int:
-    """Exact determinant (Bareiss-free, via fractions); small matrices only."""
-    from fractions import Fraction
-
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            result = -result
-        result *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    assert result.denominator == 1
-    return int(result)
-
-
-class _Worker:
-    """Row/column operations on D with the same ops mirrored into U and V."""
-
-    def __init__(self, a: Matrix):
-        self.rows = len(a)
-        self.cols = len(a[0]) if a else 0
-        self.d = [list(map(int, row)) for row in a]
-        self.u = _identity(self.rows)
-        self.v = _identity(self.cols)
-
-    def swap_rows(self, i, j):
-        if i != j:
-            self.d[i], self.d[j] = self.d[j], self.d[i]
-            self.u[i], self.u[j] = self.u[j], self.u[i]
-
-    def swap_cols(self, i, j):
-        if i != j:
-            for row in self.d:
-                row[i], row[j] = row[j], row[i]
-            for row in self.v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(self, src, dst, f):
-        if f:
-            self.d[dst] = [x + f * y for x, y in zip(self.d[dst], self.d[src])]
-            self.u[dst] = [x + f * y for x, y in zip(self.u[dst], self.u[src])]
-
-    def add_col(self, src, dst, f):
-        if f:
-            for row in self.d:
-                row[dst] += f * row[src]
-            for row in self.v:
-                row[dst] += f * row[src]
-
-    def negate_row(self, i):
-        self.d[i] = [-x for x in self.d[i]]
-        self.u[i] = [-x for x in self.u[i]]
-
-    def diagonalize_block(self, k, row_idx, col_idx):
-        """Clear row k and column k using pivots drawn from the given
-        row/column index sets (all of which must currently only have
-        nonzero entries within those sets)."""
-        d = self.d
+def _diagonalise(a: Matrix) -> list[int]:
+    """Absolute values of the nonzero pivots of a diagonal form of a."""
+    d = [list(map(int, row)) for row in a]
+    rows, cols = len(d), len(d[0])
+    pivots = []
+    for k in range(min(rows, cols)):
         while True:
             entries = [
-                (abs(d[i][j]), i, j) for i in row_idx for j in col_idx if d[i][j]
+                (abs(d[i][j]), i, j)
+                for i in range(k, rows)
+                for j in range(k, cols)
+                if d[i][j]
             ]
             if not entries:
-                return
+                return pivots
             _, pi, pj = min(entries)
-            self.swap_rows(k, pi)
-            self.swap_cols(k, pj)
+            d[k], d[pi] = d[pi], d[k]
+            for row in d:
+                row[k], row[pj] = row[pj], row[k]
             pivot = d[k][k]
-            dirty = False
-            for i in row_idx:
-                if i != k:
-                    self.add_row(k, i, -(d[i][k] // pivot))
-                    dirty = dirty or bool(d[i][k])
-            for j in col_idx:
-                if j != k:
-                    self.add_col(k, j, -(d[k][j] // pivot))
-                    dirty = dirty or bool(d[k][j])
-            if not dirty:
-                return
-
-
-def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Compute (U, D, V) with U*A*V = D in Smith normal form."""
-    w = _Worker(a)
-    rows, cols = w.rows, w.cols
-    n = min(rows, cols)
-
-    for k in range(n):
-        w.diagonalize_block(k, range(k, rows), range(k, cols))
-
-    # enforce the divisibility chain on the diagonal
-    for k in range(n):
-        changed = True
-        while changed:
-            changed = False
-            for j in range(k + 1, n):
-                x, y = w.d[k][k], w.d[j][j]
-                if x == 0 and y != 0:
-                    w.swap_rows(k, j)
-                    w.swap_cols(k, j)
-                    changed = True
-                elif x != 0 and y % x != 0:
-                    # mix the pair and re-extract gcd/lcm; ops stay in {k, j}
-                    w.add_row(j, k, 1)
-                    w.diagonalize_block(k, (k, j), (k, j))
-                    changed = True
-
-    for k in range(n):
-        if w.d[k][k] < 0:
-            w.negate_row(k)
-
-    return w.u, w.d, w.v
-
-
-def diagonal(d: Matrix) -> list[int]:
-    if not d or not d[0]:
-        return []
-    return [d[i][i] for i in range(min(len(d), len(d[0])))]
+            # reduce column k and row k by the pivot; a nonzero remainder
+            # is a smaller entry, so the loop picks it as the next pivot
+            for i in range(k + 1, rows):
+                q = d[i][k] // pivot
+                d[i] = [x - q * y for x, y in zip(d[i], d[k])]
+            for j in range(k + 1, cols):
+                q = d[k][j] // pivot
+                for row in d:
+                    row[j] -= q * row[k]
+            if not any(d[i][k] for i in range(k + 1, rows)) and not any(
+                d[k][j] for j in range(k + 1, cols)
+            ):
+                break
+        pivots.append(abs(pivot))
+    return pivots
 
 
 def invariant_factors(a: Matrix) -> list[int]:
-    """Nonzero diagonal entries of the Smith form of a, in chain order."""
+    """Nonzero invariant factors of a, in divisibility order."""
     if not a or not a[0]:
         return []
-    _, d, _ = smith_normal_form(a)
-    return [x for x in diagonal(d) if x != 0]
+    factors = _diagonalise(a)
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            g = gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] * factors[j] // g
+    return factors

@@ -67,6 +67,24 @@ def random_point(rng: random.Random, max_len: int = 6):
     return ev_periodic(pre, per)
 
 
+def expanded_pieces(f, depth: int):
+    """All pieces of the Eppm f, with families unfolded while the dom prefix
+    is at most `depth` long."""
+    yield from f.pieces
+    for fam in f.families:
+        m = 0
+        while True:
+            emitted = False
+            for block in fam.blocks:
+                piece = fam.piece_at(m, block)
+                if len(piece.dom) <= depth:
+                    emitted = True
+                    yield piece
+            if not emitted:
+                break
+            m += 1
+
+
 def random_signed_word(rng: random.Random, length: int):
     return tuple(
         (rng.choice(("A0", "A1", "B0", "B1")), rng.choice((1, -1)))

@@ -211,6 +211,19 @@ def test_plot_rejects_negative_depth(fsp, capsys):
     assert code == 0 and out.startswith("left,right")
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+@pytest.mark.parametrize("flag", ["--width", "--height"])
+def test_plot_rejects_non_positive_size(fsp, capsys, tmp_path, flag, size):
+    target = tmp_path / "graph.svg"
+    code, out, err = run(
+        capsys, "plot", fsp(J3_TEXT), "-e", "[b1 | id | a1]", "--format", "svg",
+        flag, size, "-o", str(target),
+    )
+    assert code == 1 and out == ""
+    assert "plot size" in err
+    assert not target.exists()
+
+
 def test_plot_wrong_kind_fails_cleanly(fsp, capsys):
     # a rotation is not order-preserving: interval rendering refuses
     code, _, err = run(

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fskit import dynamics
 from fskit.dynamics import (
     bi_order_compare,
     caret_map,
@@ -19,6 +20,7 @@ from fskit.dynamics import (
     support,
 )
 from fskit.eppm import (
+    EppmError,
     IDENTITY,
     NotBijective,
     Piece,
@@ -332,6 +334,14 @@ def test_bi_order_equal(j3):
     assert bi_order_compare(f, f) == "equal"
 
 
+def test_bi_order_without_deviation_raises(j3, monkeypatch):
+    # unequal maps must deviate somewhere; if the search finds nothing the
+    # comparison fails with an error rather than guessing
+    monkeypatch.setattr(dynamics, "_first_deviation", lambda h: None)
+    with pytest.raises(EppmError, match="deviates"):
+        bi_order_compare(fraction_yb_ya(j3), IDENTITY)
+
+
 def test_bi_order_yb_ya_less(j3):
     f = fraction_yb_ya(j3)
     assert bi_order_compare(f, IDENTITY) == "less"
@@ -440,7 +450,7 @@ def test_fraction_inverse_swaps_trees(j3):
 
 
 def _boundary_points(h, depth=14):
-    from fskit.eppm import expanded_pieces
+    from conftest import expanded_pieces
     from fskit.sequences import ev_periodic
 
     pts = [ev_periodic("", "0"), ev_periodic("", "1")]

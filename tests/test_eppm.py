@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fskit.dynamics import caret_map, evaluate_word, generator_map
 from fskit.eppm import (
+    EppmError,
     Family,
     IDENTITY,
     Piece,
@@ -15,7 +16,6 @@ from fskit.eppm import (
     eq_runs,
     equals,
     evaluate,
-    expanded_pieces,
     in_domain,
     invert,
     is_identity_on_domain,
@@ -26,11 +26,16 @@ from fskit.eppm import (
     restrict,
     restrict_family,
     restrict_piece,
-    validate_disjoint,
 )
-from fskit.sequences import parse_point
+from fskit.sequences import ev_periodic, parse_point
 
-from conftest import random_point, random_signed_word
+from conftest import (
+    J3_TEXT,
+    expanded_pieces,
+    random_point,
+    random_signed_word,
+    vine_class,
+)
 
 
 def b1(cls):
@@ -45,6 +50,12 @@ def test_caret_maps_shape(j3):
     assert fam.dom_step == fam.ran_step == 2
     assert set(fam.blocks) == {("00", "01"), ("01", "10"), ("10", "1100")}
     assert fam.carries_limit
+
+
+def test_caret_map_is_memoised(j3):
+    assert caret_map(j3, "b", 1) is caret_map(j3, "b", 1)
+    # an equal class built anew hits the same entry
+    assert caret_map(vine_class(J3_TEXT), "b", 1) is caret_map(j3, "b", 1)
 
 
 def test_b1_collapses_for_vine_pair(rho2):
@@ -219,6 +230,82 @@ def test_restrict_family_matches_layer_scan(family, ones, tail, based):
     assert restrict_family(family, w) == restrict_family_by_scan(family, w)
 
 
+def evaluate_by_scan(f, p):
+    """evaluate by scanning every layer of a family's 1-run, the reference
+    for the direct layer lookup."""
+    for piece in f.pieces:
+        if p.starts_with(piece.dom):
+            return p.drop(len(piece.dom)).prepend(piece.ran)
+    for fam in f.families:
+        if not p.starts_with(fam.dom_base):
+            continue
+        rest = p.drop(len(fam.dom_base))
+        if rest.is_constant("1"):
+            if fam.carries_limit:
+                return ev_periodic(fam.ran_base, "1")
+            continue
+        run = rest.leading_run("1")
+        c = fam.dom_step
+        for m in range(run // c + 1):
+            layer = rest.drop(m * c)
+            for d, r in fam.blocks:
+                if d and layer.starts_with(d):
+                    return layer.drop(len(d)).prepend(
+                        fam.ran_base + "1" * (m * fam.ran_step) + r
+                    )
+    for lp, lq in f.limits:
+        if p == lp:
+            return lq
+    raise UndefinedAt(p)
+
+
+@st.composite
+def valid_families(draw):
+    """Families whose block doms are non-empty, prefix-free and inside one
+    layer (none starts with 1^dom_step), so their pieces are disjoint."""
+    c = draw(st.integers(1, 4))
+    doms: list[str] = []
+    for d in draw(st.lists(st.text(alphabet="01", min_size=1, max_size=5), max_size=6)):
+        if not d.startswith("1" * c) and not any(
+            d.startswith(e) or e.startswith(d) for e in doms
+        ):
+            doms.append(d)
+    rans = draw(st.lists(bit_words, min_size=len(doms), max_size=len(doms)))
+    return Family(
+        draw(bit_words),
+        draw(bit_words),
+        c,
+        draw(st.integers(1, 4)),
+        tuple(zip(doms, rans)),
+        draw(st.booleans()),
+    )
+
+
+@settings(max_examples=400)
+@given(
+    family=valid_families(),
+    ones=st.integers(0, 14),
+    tail=bit_words,
+    period=st.text(alphabet="01", min_size=1, max_size=4),
+    based=st.booleans(),
+    limit=st.booleans(),
+)
+def test_evaluate_matches_layer_scan(family, ones, tail, period, based, limit):
+    # points in the family's cone and its 1-run, its limit point, and
+    # points anywhere; an isolated limit too when the family has none
+    pre = (family.dom_base + "1" * ones if based else "") + tail
+    p = ev_periodic(family.dom_base, "1") if limit else ev_periodic(pre, period)
+    limits = () if family.carries_limit else ((p, ev_periodic("0", period)),)
+    f = make_eppm(families=[family], limits=limits)
+    try:
+        expected = evaluate_by_scan(f, p)
+    except UndefinedAt:
+        with pytest.raises(UndefinedAt):
+            evaluate(f, p)
+    else:
+        assert evaluate(f, p) == expected
+
+
 def test_region_subset_and_total(j3):
     f = b1(j3)
     assert is_total(f)
@@ -240,6 +327,17 @@ def test_canonicalize_absorbs_layer():
     out = canonicalize(f)
     assert out.families[0].dom_base == ""
     assert not out.pieces
+
+
+def validate_disjoint(f, depth: int = 64) -> None:
+    """Check pairwise disjointness of expanded domains and ranges."""
+    doms = [p.dom for p in expanded_pieces(f, depth)]
+    rans = [p.ran for p in expanded_pieces(f, depth)]
+    for words, side in ((doms, "domains"), (rans, "ranges")):
+        for i, u in enumerate(words):
+            for v in words[i + 1 :]:
+                if u.startswith(v) or v.startswith(u):
+                    raise EppmError(f"{side} overlap: {u!r} vs {v!r}")
 
 
 def test_validate_disjoint(j3, nonsimple4):

@@ -21,15 +21,39 @@ from fskit.forest import (
     node,
     parse_caret_word,
     prune_word,
-    read_back,
     right_vine,
     tensor,
     trivial_forest,
     vine_decomposition,
-    vines_of,
 )
 
 from conftest import random_tree
+
+
+def read_back(t):
+    """The canonical (preorder) caret word of t; inverse of build_tree."""
+    out = []
+
+    def rec(sub, pos):
+        if sub.is_leaf:
+            return
+        out.append((sub.colour, pos))
+        rec(sub.left, pos)
+        rec(sub.right, pos + leaf_count(sub.left))
+
+    rec(t, 1)
+    return tuple(out)
+
+
+def vines_of(word):
+    """Split a vine-decomposed word into its maximal right-vine runs."""
+    runs = []
+    for colour, i in vine_decomposition(word):
+        if runs and i == runs[-1][-1][1] + 1:
+            runs[-1].append((colour, i))
+        else:
+            runs.append([(colour, i)])
+    return tuple(tuple(r) for r in runs)
 
 
 def test_build_tree_trivial():
