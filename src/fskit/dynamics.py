@@ -125,10 +125,10 @@ def evaluate_fraction(
     onto Cone(t, perm[j-1]).
     """
     n = leaf_count(s)
-    if leaf_count(t) != n or sorted(perm) != list(range(1, n + 1)):
-        raise NotBijective(
-            f"fraction shape mismatch: {leaf_count(t)} vs {n} leaves, perm {perm}"
-        )
+    if leaf_count(t) != n:
+        raise NotBijective(f"fraction shape mismatch: {leaf_count(t)} vs {n} leaves")
+    if sorted(perm) != list(range(1, n + 1)):
+        raise NotBijective(f"perm {perm} is not a permutation of 1..{n}")
     pieces: list[Piece] = []
     fams = []
     limits = []

@@ -11,22 +11,21 @@ denotes the pieces
 
 together with the limit assignment db.1^inf |-> rb.1^inf when it carries
 its limit.  Families are how breakpoint accumulation at tail-1^inf points
-stays finite data.  A family produced by composition may temporarily not
-carry its limit (several families can share one accumulation point); the
-point then lives in the isolated-limits table until canonicalisation
-re-absorbs it.
+stays finite data.  A family produced by composition may not carry its
+limit; the point's image then lives in the isolated-limits table until
+canonicalize folds it back.
 
-Equality of maps is decided exactly: dom(f) = dom(g) via a finite-state
-walk over cone refinements, and pointwise agreement via checking that
-invert(g) o f is the identity on its domain, which only needs the symbolic
-"prefix . 1-run . suffix" string comparison implemented in eq_runs.
-Alignment that does not stabilise within the computed unfolding bound
-raises RepresentationOverflow rather than guessing.
+canonicalize builds a unique normal form in one pass (see "normal form"
+below), so two Eppms denote the same partial map exactly when their
+normal forms are ==, and that is all equals does.  The finite-state walk
+over cone refinements (region_subset) now serves only is_total.
+Composition through families that does not stabilise within the computed
+unfolding bound raises RepresentationOverflow rather than guessing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from math import lcm
 from typing import Iterable, Optional, Union
 
@@ -109,6 +108,8 @@ class Eppm:
     pieces: tuple[Piece, ...] = ()
     families: tuple[Family, ...] = ()
     limits: tuple[LimitPair, ...] = ()
+    # set on canonicalize's results, so that a normal form is not rebuilt
+    normal: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def atoms(self) -> tuple[Atom, ...]:
@@ -498,222 +499,217 @@ def _compose_family_tail(
 
 
 # ---------------------------------------------------------------------------
-# canonical form
+# normal form
+#
+# Take an accumulation point P = x.1^inf, where x does not end in 1.  Slab n
+# of P is the cone x.1^n.0, and P with its slabs partitions the cone x.  A
+# slab is written in reduced form: every sibling merge applied, so that its
+# pieces are the maximal cones on which the map is a prefix replacement.
+# Past the families' bases the slab sequence repeats with a period, up to
+# one growing 1-run in every range, so it has a unique minimal period and
+# preperiod; the family form of that tail is then unique too.  Tail ranges
+# are reduced symbolically, for every lap at once: an injective map gives
+# the ranges of one piece disjoint cones at all laps, so its rest starts
+# with 0, and two such ranges are siblings at every lap or at none.
+
+# z.1^(a + q.M).rest at lap M >= 0, with z not ending in 1 and rest not
+# starting with 1: a tail range whose run grows by q ones per lap
+Run = tuple[str, int, int, str]
 
 
-def _kraft_partition(suffixes: Iterable[str], extra: str) -> bool:
-    """Whether the suffix cones plus the extra cone partition the full space
-    (prefix-free with Kraft sum exactly 1)."""
-    from fractions import Fraction
-
-    words = list(suffixes) + [extra]
-    for i, u in enumerate(words):
-        for v in words[i + 1 :]:
-            if u.startswith(v) or v.startswith(u):
-                return False
-    return sum(Fraction(1, 2 ** len(w)) for w in words) == 1
+def _run(head: str, ones: int, tail: str, step: int) -> Run:
+    z = head.rstrip("1")
+    lead = _lead_ones(tail)
+    return z, len(head) - len(z) + ones + lead, step, tail[lead:]
 
 
-def _split_overflow_blocks(fam: Family) -> list[Family]:
-    """Rewrite blocks whose dom suffix starts with 1^c into sibling families
-    with a deeper dom base, so blocks live strictly inside one layer."""
-    c, cp = fam.dom_step, fam.ran_step
-    by_shift: dict[int, list[tuple[str, str]]] = {}
-    for d, r in fam.blocks:
-        k = _lead_ones(d) // c
-        by_shift.setdefault(k, []).append((d[k * c :], r))
-    if set(by_shift) == {0}:
-        return [fam]
-    out = []
-    first = True
-    for k in sorted(by_shift):
-        out.append(
-            Family(
-                fam.dom_base + _ones(k * c),
-                fam.ran_base,
-                c,
-                cp,
-                tuple(sorted(by_shift[k])),
-                carries_limit=fam.carries_limit and first,
-            )
-        )
-        first = False
+def _ran_parent(ran: str, bit: str) -> Optional[str]:
+    return ran[:-1] if ran.endswith(bit) else None
+
+
+def _run_parent(ran: Run, bit: str) -> Optional[Run]:
+    z, a, q, rest = ran
+    if rest:
+        return (z, a, q, rest[:-1]) if rest[-1] == bit else None
+    return (z, a - 1, q, "") if bit == "1" and a > 0 else None
+
+
+def _reduce(pieces: dict, parent) -> dict:
+    """Every sibling merge (u0 -> v0, u1 -> v1 into u -> v) of the pieces
+    {dom: ran}; parent(ran, bit) drops a last letter `bit` of a range, or
+    is None if the range does not end in it."""
+    if len(pieces) < 2:
+        return pieces
+    out = dict(pieces)
+    todo = sorted(out, key=len)
+    while todo:
+        u = todo.pop()
+        if not u or u not in out:
+            continue
+        twin = u[:-1] + ("0" if u[-1] == "1" else "1")
+        if twin not in out:
+            continue
+        v = parent(out[u], u[-1])
+        if v is None or v != parent(out[twin], twin[-1]):
+            continue
+        del out[u], out[twin]
+        out[u[:-1]] = v
+        todo.append(u[:-1])
     return out
 
 
-def _reduce_step(fam: Family) -> Family:
-    """Fold an unfolded family back to its smallest step."""
-    while True:
-        c, cp = fam.dom_step, fam.ran_step
-        for p in range(c, 1, -1):
-            if c % p or cp % p:
-                continue
-            c0, cp0 = c // p, cp // p
-            core = [(d, r) for d, r in fam.blocks if not d.startswith(_ones(c0))]
-            expected = set()
-            for rho in range(p):
-                for d, r in core:
-                    expected.add((_ones(rho * c0) + d, _ones(rho * cp0) + r))
-            if core and expected == set(fam.blocks):
-                fam = replace(
-                    fam, dom_step=c0, ran_step=cp0, blocks=tuple(sorted(core))
-                )
-                break
-        else:
-            return fam
+def _slab_of(x: str, w: str) -> tuple[int, str]:
+    """(n, u) with w = x.1^n.0.u."""
+    rel = w[len(x) :]
+    n = _lead_ones(rel)
+    if n == len(rel):
+        raise EppmError(f"cone {w or 'e'} holds the accumulation point {x or 'e'}.1^inf")
+    return n, rel[n + 1 :]
 
 
-def _rebalance(fam: Family) -> Family:
-    """Move 1-runs shared by all block suffixes into the bases (1s commute
-    across the step run, so this is an equality of piece sets)."""
-    if not fam.blocks:
-        return fam
-    t_d = min(_lead_ones(d) for d, _ in fam.blocks)
-    t_r = min(_lead_ones(r) for _, r in fam.blocks)
-    if t_d == 0 and t_r == 0:
-        return fam
-    blocks = tuple(sorted((d[t_d:], r[t_r:]) for d, r in fam.blocks))
-    return replace(
-        fam,
-        dom_base=fam.dom_base + _ones(t_d),
-        ran_base=fam.ran_base + _ones(t_r),
-        blocks=blocks,
+def _point_form(
+    x: str,
+    fams: list[Family],
+    inside: dict[str, str],
+    walls: list[str],
+    image: Optional[EvPeriodic],
+) -> tuple[dict[str, str], list[Family]]:
+    """The normal form on the cone x: explicit pieces {dom: ran} and
+    families.  `fams` are the families at x.1^inf, `inside` the pieces in
+    the cone, `walls` the family cones of deeper points in it, and `image`
+    the image of x.1^inf, if any."""
+    period = lcm(*(fam.dom_step for fam in fams))
+    # (family, first slab of the block, dom in the slab, ran)
+    items = [(fam, *_slab_of(x, fam.dom_base + d), r) for fam in fams for d, r in fam.blocks]
+    placed = [(*_slab_of(x, w), v) for w, v in inside.items()]
+    walled = {_slab_of(x, w)[0] for w in walls}
+    # from slab `start` on, only the families act, periodically
+    start = max(
+        [n for _, n, _, _ in items] + [n + 1 for n, _, _ in placed] + [n + 1 for n in walled]
     )
 
+    slabs: list[dict[str, str]] = [{} for _ in range(start)]
+    for n, u, v in placed:
+        slabs[n][u] = v
+    pattern: list[dict[str, Run]] = [{} for _ in range(period)]
+    for fam, first, u, r in items:
+        c, cp = fam.dom_step, fam.ran_step
+        for m, n in enumerate(range(first, start, c)):
+            slabs[n][u] = fam.ran_base + _ones(m * cp) + r
+        for n in range(start + (first - start) % c, start + period, c):
+            run = _run(fam.ran_base, (n - first) // c * cp, r, cp * period // c)
+            pattern[n - start][u] = run
+    slabs = [_reduce(slab, _ran_parent) for slab in slabs]
+    pattern = [_reduce(slab, _run_parent) for slab in pattern]
 
-def _merge_families(families: list[Family]) -> list[Family]:
-    """Union the blocks of families sharing bases and steps."""
-    grouped: dict[tuple, tuple[set, bool]] = {}
-    for fam in families:
-        key = (fam.dom_base, fam.ran_base, fam.dom_step, fam.ran_step)
-        blocks, carries = grouped.get(key, (set(), False))
-        blocks |= set(fam.blocks)
-        grouped[key] = (blocks, carries or fam.carries_limit)
-    return [
-        Family(db, rb, c, cp, tuple(sorted(blocks)), carries)
-        for (db, rb, c, cp), (blocks, carries) in sorted(grouped.items())
-    ]
+    def pattern_at(n: int, shift: int = 0) -> Optional[dict[str, Run]]:
+        """The periodic pattern at slab n, each run moved on by shift/period
+        laps; None where a run is not whole or is negative."""
+        laps, rho = divmod(n - start, period)
+        out = {}
+        for u, (z, a, q, rest) in pattern[rho].items():
+            grow, part = divmod(q * (laps * period + shift), period)
+            if part or a + grow < 0:
+                return None
+            out[u] = (z, a + grow, q, rest)
+        return out
 
+    # the minimal period divides the families' common step, and the
+    # minimal preperiod is found walking back from `start`
+    p = next(
+        (
+            p
+            for p in range(1, period)
+            if period % p == 0
+            and all(
+                pattern_at(start + rho + p) == pattern_at(start + rho, p)
+                for rho in range(period)
+            )
+        ),
+        period,
+    )
+    first = start
+    while first > 0 and first - 1 not in walled:
+        laps, rho = divmod(first - 1 - start, period)
+        slab = slabs[first - 1]
+        if len(slab) != len(pattern[rho]) or not all(
+            a + q * laps >= 0 and slab.get(u) == z + _ones(a + q * laps) + rest
+            for u, (z, a, q, rest) in pattern[rho].items()
+        ):
+            break
+        first -= 1
 
-def _try_collapse(fam: Family) -> Optional[Piece]:
-    """A family equal to a single prefix piece collapses to it."""
-    if not fam.carries_limit or fam.dom_step != fam.ran_step:
-        return None
-    k = None
-    for d, r in fam.blocks:
-        if not r.endswith(d):
-            return None
-        head = r[: len(r) - len(d)]
-        if head != _ones(len(head)):
-            return None
-        if k is None:
-            k = len(head)
-        elif k != len(head):
-            return None
-    if k is None:
-        return None
-    if not _kraft_partition((d for d, _ in fam.blocks), _ones(fam.dom_step)):
-        return None
-    return Piece(fam.dom_base, fam.ran_base + _ones(k))
+    pieces = {
+        x + _ones(n) + "0" + u: v for n in range(first) for u, v in slabs[n].items()
+    }
+    groups: dict[tuple[str, int], list[tuple[str, int, str]]] = {}
+    for rho in range(p):
+        for u, (z, a, q, rest) in pattern_at(first + rho).items():
+            groups.setdefault((z, q * p // period), []).append((_ones(rho) + "0" + u, a, rest))
+    base = x + _ones(first)
+    families = []
+    for (z, q), members in sorted(groups.items()):
+        # every block's leading 1s go into the range base
+        t = min(a for _, a, _ in members)
+        blocks = tuple(sorted((d, _ones(a - t) + rest) for d, a, rest in members))
+        carries = image == EvPeriodic(z, "1")
+        families.append(Family(base, z + _ones(t), p, q, blocks, carries))
+    if len(families) == 1:
+        fam = families[0]
+        if fam.carries_limit and (p, fam.ran_step, fam.blocks) == (1, 1, (("0", "0"),)):
+            # the tail and its limit are the single piece base -> ran base
+            pieces[base] = fam.ran_base
+            return pieces, []
+    return pieces, families
 
 
 def canonicalize(f: Eppm) -> Eppm:
-    pieces = list(f.pieces)
-    families: list[Family] = []
-    limits = list(dict.fromkeys(f.limits))
+    """The normal form of f: equal maps get equal forms.
 
+    It has reduced pieces outside the family cones, one family per
+    accumulation point, range point and range step, with minimal preperiod
+    and period, limits only where no piece or family covers them, and
+    everything sorted.  One pass over the accumulation points, deepest
+    first, so that a nested point's family cone is a wall in its parent's
+    slab.  The result is marked, so that canonicalizing it again costs
+    nothing."""
+    if f.normal:
+        return f
+    pieces = {p.dom: p.ran for p in f.pieces}
+    images = dict(f.limits)
+    at_point: dict[str, list[Family]] = {}
     for fam in f.families:
-        if not fam.blocks:
-            if fam.carries_limit:
-                limits.append((fam.limit_dom, fam.limit_ran))
-            continue
-        families.extend(_split_overflow_blocks(fam))
-    families = [_reduce_step(fam) for fam in families]
+        if fam.carries_limit:
+            images[fam.limit_dom] = fam.limit_ran
+        if fam.blocks:
+            at_point.setdefault(fam.dom_base.rstrip("1"), []).append(fam)
 
-    def pass_once() -> bool:
-        nonlocal pieces, families, limits
-        changed = False
+    families: list[Family] = []
+    for x in sorted(at_point, key=lambda x: (-len(x), x)):
+        inside = {w: pieces.pop(w) for w in [w for w in pieces if w.startswith(x)]}
+        walls = [fam.dom_base for fam in families if fam.dom_base.startswith(x)]
+        point = EvPeriodic(x, "1")
+        more_pieces, more_families = _point_form(
+            x, at_point[x], inside, walls, images.get(point)
+        )
+        if not more_families or any(fam.carries_limit for fam in more_families):
+            images.pop(point, None)  # a family or a piece covers the point
+        pieces.update(more_pieces)
+        families.extend(more_families)
+    families.sort(key=lambda fam: (fam.dom_base, fam.dom_step, fam.blocks, fam.ran_base))
 
-        rebalanced = [_rebalance(fam) for fam in families]
-        merged = _merge_families(rebalanced)
-        if merged != families:
-            families = merged
-            changed = True
-
-        # re-attach isolated limits to a matching limitless family
-        for lp, lq in list(limits):
-            owners = [
-                i
-                for i, fam in enumerate(families)
-                if not fam.carries_limit
-                and fam.limit_dom == lp
-                and fam.limit_ran == lq
-            ]
-            if owners:
-                families[owners[0]] = replace(families[owners[0]], carries_limit=True)
-                limits.remove((lp, lq))
-                changed = True
-            else:
-                covered = any(lp.starts_with(p.dom) for p in pieces) or any(
-                    fam.carries_limit and lp == fam.limit_dom for fam in families
-                )
-                if covered:
-                    limits.remove((lp, lq))
-                    changed = True
-
-        # collapse families that equal a single prefix piece
-        kept: list[Family] = []
-        for fam in families:
-            piece = _try_collapse(fam)
-            if piece is not None:
-                pieces.append(piece)
-                changed = True
-            else:
-                kept.append(fam)
-        families = kept
-
-        # absorb explicit pieces that form the next-lower layer of a family
-        for i, fam in enumerate(families):
-            c, cp = fam.dom_step, fam.ran_step
-            if len(fam.dom_base) < c or len(fam.ran_base) < cp:
-                continue
-            if not fam.dom_base.endswith(_ones(c)) or not fam.ran_base.endswith(
-                _ones(cp)
-            ):
-                continue
-            down_db = fam.dom_base[:-c]
-            down_rb = fam.ran_base[:-cp]
-            needed = [Piece(down_db + d, down_rb + r) for d, r in fam.blocks]
-            if all(p in pieces for p in needed):
-                for p in needed:
-                    pieces.remove(p)
-                families[i] = replace(fam, dom_base=down_db, ran_base=down_rb)
-                return True
-
-        # merge sibling pieces (u0 -> v0, u1 -> v1) into (u -> v)
-        seen: dict[str, Piece] = {p.dom: p for p in pieces}
-        for p in list(pieces):
-            if p.dom.endswith("0") and p.ran.endswith("0"):
-                twin = seen.get(p.dom[:-1] + "1")
-                if twin and twin.ran == p.ran[:-1] + "1":
-                    pieces.remove(p)
-                    pieces.remove(twin)
-                    pieces.append(Piece(p.dom[:-1], p.ran[:-1]))
-                    return True
-
-        return changed
-
-    for _ in range(10 * (len(pieces) + len(families) + len(limits)) + 10):
-        if not pass_once():
-            break
-
-    pieces = sorted(dict.fromkeys(pieces), key=lambda p: (p.dom, p.ran))
-    families = sorted(
-        dict.fromkeys(families),
-        key=lambda fam: (fam.dom_base, fam.dom_step, fam.blocks),
+    out = Eppm(
+        tuple(Piece(u, v) for u, v in sorted(_reduce(pieces, _ran_parent).items())),
+        tuple(families),
     )
-    limits = sorted(dict.fromkeys(limits), key=lambda pq: (pq[0].pre, pq[0].per))
-    return Eppm(tuple(pieces), tuple(families), tuple(limits))
+    if images:
+        limits = sorted(
+            ((p, q) for p, q in images.items() if not in_domain(out, p)),
+            key=lambda pq: (pq[0].pre, pq[0].per),
+        )
+        out = Eppm(out.pieces, out.families, tuple(limits))
+    object.__setattr__(out, "normal", True)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -771,38 +767,15 @@ def region_subset(f: Eppm, g: Eppm) -> bool:
     return walk("", f, g)
 
 
-def region_equal(f: Eppm, g: Eppm) -> bool:
-    return region_subset(f, g) and region_subset(g, f)
-
-
 def is_total(f: Eppm) -> bool:
     return region_subset(IDENTITY, f)
 
 
 # ---------------------------------------------------------------------------
-# identity test and equality
-
-
-def is_identity_on_domain(f: Eppm) -> bool:
-    for p in f.pieces:
-        if p.dom != p.ran:
-            return False
-    for fam in f.families:
-        for d, r in fam.blocks:
-            if not eq_runs(
-                fam.dom_base, fam.dom_step, d, fam.ran_base, fam.ran_step, r
-            ):
-                return False
-        if fam.carries_limit and fam.limit_dom != fam.limit_ran:
-            return False
-    return all(p == q for p, q in f.limits)
+# equality
 
 
 def equals(f: Eppm, g: Eppm) -> bool:
-    """Extensional equality of the represented partial maps."""
-    if canonicalize(f) == canonicalize(g):
-        return True
-    if not region_equal(f, g):
-        return False
-    h = compose(invert(g), f)
-    return is_identity_on_domain(h) and region_equal(h, f)
+    """Extensional equality of the represented partial maps: equal maps
+    have equal normal forms."""
+    return canonicalize(f) == canonicalize(g)

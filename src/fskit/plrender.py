@@ -126,14 +126,15 @@ def _expand(f: Eppm, depth: int) -> tuple[list[PlPiece], list[Dyadic]]:
     for p in f.pieces:
         pl.append(_piece_to_pl(p.dom, p.ran))
     for fam in f.families:
-        # expand while the unexpanded roof cone is at least 2^-depth wide,
-        # so everything elided lives strictly below the resolution
-        m = 0
-        while len(fam.dom_base) + m * fam.dom_step <= depth:
-            for d, r in fam.blocks:
+        # draw a piece in the slab x.1^n.0 of the point x.1^inf (x not
+        # ending in 1) iff len(x) + n <= depth: what is elided lives strictly
+        # below the resolution, and the plot depends only on the map
+        for d, r in fam.blocks:
+            # len(x) + n for the block's piece at layer 0
+            reach = len(fam.dom_base) + len(d) - len(d.lstrip("1"))
+            for m in range((depth - reach) // fam.dom_step + 1):
                 piece = fam.piece_at(m, (d, r))
                 pl.append(_piece_to_pl(piece.dom, piece.ran))
-            m += 1
         sup = cone_left(fam.dom_base) + cone_width(fam.dom_base)
         accumulation.append(from_fraction(sup))
     pl.sort(key=lambda q: q.left.value)

@@ -1,7 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
+from fskit.eppm import make_eppm, restrict
 from fskit.forest import LEAF, Tree, graft, leaf_count
 from fskit.presentation import (
     SkeinPresentation,
@@ -89,4 +91,31 @@ def random_signed_word(rng: random.Random, length: int):
     return tuple(
         (rng.choice(("A0", "A1", "B0", "B1")), rng.choice((1, -1)))
         for _ in range(length)
+    )
+
+
+def unrolled(f, layers: int):
+    """f with each family's first `layers` layers written as pieces."""
+    pieces = list(f.pieces)
+    fams = []
+    for fam in f.families:
+        for m in range(layers):
+            pieces.extend(fam.piece_at(m, block) for block in fam.blocks)
+        fams.append(
+            replace(
+                fam,
+                dom_base=fam.dom_base + "1" * (layers * fam.dom_step),
+                ran_base=fam.ran_base + "1" * (layers * fam.ran_step),
+            )
+        )
+    return make_eppm(pieces, fams, f.limits)
+
+
+def split_at_root(f):
+    """The union of f's restrictions to the cones 0 and 1."""
+    halves = [restrict(f, "0"), restrict(f, "1")]
+    return make_eppm(
+        [p for h in halves for p in h.pieces],
+        [fam for h in halves for fam in h.families],
+        [lim for h in halves for lim in h.limits],
     )

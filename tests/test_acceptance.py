@@ -58,10 +58,8 @@ from fskit.eppm import (
     equals,
     evaluate,
     invert,
-    is_identity_on_domain,
     is_total,
     make_eppm,
-    region_equal,
 )
 from fskit.forest import End, leaf_count
 from fskit.plrender import breakpoints, emit_csv, fixed_points, to_interval_map
@@ -74,6 +72,7 @@ from fskit.presentation import (
 )
 from fskit.probe import certificate_check
 from fskit.sequences import ev_periodic, parse_point, tail_equivalent
+from region_walk import is_identity_on_domain, region_equal
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -241,3 +241,49 @@ def test_plot_wrong_kind_fails_cleanly(fsp, capsys):
         "circle",
     )
     assert code == 2
+
+
+def test_fraction_leaf_count_mismatch(fsp, capsys):
+    code, out, err = run(capsys, "canon", fsp(J3_TEXT), "-e", "[b1 b1 | 1 2 3 | a1]")
+    assert code == 2 and out == ""
+    assert err == "invalid: fraction shape mismatch: 3 vs 2 leaves\n"
+
+
+def test_fraction_perm_not_a_permutation(fsp, capsys):
+    code, out, err = run(capsys, "canon", fsp(J3_TEXT), "-e", "[b1 | 1 3 | a1]")
+    assert code == 2 and out == ""
+    assert err == "invalid: perm (1, 3) is not a permutation of 1..2\n"
+
+
+def test_canon_of_equal_words(fsp, capsys):
+    path = fsp(J3_TEXT)
+    _, first, _ = run(capsys, "canon", path, "-e", "B1^-1")
+    _, second, _ = run(capsys, "canon", path, "-e", "B1^-1 B1^-1 B1")
+    assert first == second == "{(01->00); [1|1^2 -> e|1^2: 0->01, 100->10, 101->1100]}\n"
+
+
+@pytest.mark.parametrize(
+    "element, expanded, kinds",
+    [
+        # an extra caret on leaf 2 of both trees, then on leaf 1
+        ("[b1 | id | a1]", "[b1 a2 | id | a1 a2]", ("interval", "circle")),
+        ("[b1 | id | a1]", "[b1 b1 | id | a1 b1]", ("interval", "circle")),
+        # leaf 1 of the source tree goes to leaf 2 of the target tree
+        ("[a1 | 2 1 | a1]", "[a1 a2 | 2 3 1 | a1 a1]", ("circle",)),
+    ],
+)
+def test_plot_depends_only_on_element(fsp, capsys, element, expanded, kinds):
+    path = fsp(J3_TEXT)
+
+    def outputs(text):
+        got = [run(capsys, "canon", path, "-e", text)]
+        for kind in kinds:
+            for fmt in ("csv", "svg"):
+                got.append(
+                    run(capsys, "plot", path, "-e", text, "--kind", kind, "--format", fmt)
+                )
+        return got
+
+    first = outputs(element)
+    assert all(code == 0 for code, _, _ in first)
+    assert outputs(expanded) == first

@@ -1,0 +1,125 @@
+"""Deep-point gate: compose and canonicalize agree with the stream oracle
+far down every family's 1-run.
+
+The maps are products of random signed words and random fractions.  For
+every family of a product (base db, step c, block d) the points
+db.1^(m c).d.z are checked for m up to 200 and random eventually periodic
+tails z, together with every family's limit point db.1^inf and every
+isolated limit.  The expected image comes from `stream_oracle`, which
+applies the caret rules letter by letter and never imports fskit.eppm.
+
+canonicalize is checked on two other writings of each product: the union
+of its restrictions to the cones 0 and 1, and the product with every family
+unrolled by a few layers into explicit pieces.  Both denote the same map,
+so their canonical forms must agree with the oracle at the same points.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import stream_oracle
+from conftest import (
+    CLEARY2_TEXT,
+    J3_TEXT,
+    NONSIMPLE4_TEXT,
+    RHO2_TEXT,
+    random_signed_word,
+    random_tree,
+    split_at_root,
+    unrolled,
+    vine_class,
+)
+from fskit.dynamics import evaluate_fraction, evaluate_word
+from fskit.eppm import IDENTITY, UndefinedAt, canonicalize, compose, evaluate
+from fskit.forest import leaf_count
+from fskit.sequences import ev_periodic
+
+CLASSES = {
+    name: vine_class(text)
+    for name, text in (
+        ("j3", J3_TEXT),
+        ("nonsimple4", NONSIMPLE4_TEXT),
+        ("cleary2", CLEARY2_TEXT),
+        ("rho2", RHO2_TEXT),
+    )
+}
+MAX_LAYER = 200
+
+
+def random_part(cls, rng: random.Random):
+    """A random factor: (its map, its oracle action on one point)."""
+    if rng.random() < 0.5:
+        word = random_signed_word(rng, rng.randint(1, 4))
+        return evaluate_word(cls, word), lambda p: stream_oracle.apply_word(cls, word, p)
+    s = random_tree(rng, rng.randint(1, 4))
+    t = random_tree(rng, leaf_count(s) - 1)
+    perm = list(range(1, leaf_count(s) + 1))
+    rng.shuffle(perm)
+    perm = tuple(perm)
+    return (
+        evaluate_fraction(cls, t, perm, s),
+        lambda p: stream_oracle.apply_fraction(cls, t, perm, s, p),
+    )
+
+
+def random_tail(rng: random.Random) -> tuple[str, str]:
+    pre = "".join(rng.choice("01") for _ in range(rng.randint(0, 4)))
+    per = "".join(rng.choice("01") for _ in range(rng.randint(1, 3)))
+    return pre, per
+
+
+def deep_points(f, rng: random.Random):
+    """Points far down the families' 1-runs, limit points and isolated
+    limits of f."""
+    layers = sorted({0, 1, 2, MAX_LAYER, rng.randint(3, MAX_LAYER)})
+    for fam in f.families:
+        yield ev_periodic(fam.dom_base, "1")
+        for d, _ in fam.blocks:
+            for m in layers:
+                pre, per = random_tail(rng)
+                yield ev_periodic(fam.dom_base + "1" * (m * fam.dom_step) + d + pre, per)
+    for p, _ in f.limits:
+        yield p
+
+
+def image(f, p):
+    try:
+        return evaluate(f, p)
+    except UndefinedAt:
+        return None
+
+
+def oracle_image(actions, p):
+    try:
+        for act in reversed(actions):
+            p = act(p)
+    except stream_oracle.OracleUndefined:
+        return None
+    return p
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_compose_and_canonicalize_match_oracle_at_deep_points(name, seed):
+    cls = CLASSES[name]
+    rng = random.Random(seed)
+    parts = [random_part(cls, rng) for _ in range(rng.randint(1, 4))]
+    product = IDENTITY
+    for m, _ in parts:
+        product = compose(product, m)
+    actions = [act for _, act in parts]
+    variants = [
+        product,
+        canonicalize(split_at_root(product)),
+        canonicalize(unrolled(product, rng.randint(1, 3))),
+    ]
+    points = [p for f in variants for p in deep_points(f, rng)]
+    for p in points:
+        want = oracle_image(actions, p)
+        for f in variants:
+            assert image(f, p) == want, (name, str(p), str(f))

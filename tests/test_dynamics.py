@@ -21,6 +21,7 @@ from fskit.dynamics import (
 )
 from fskit.eppm import (
     EppmError,
+    Family,
     IDENTITY,
     NotBijective,
     Piece,
@@ -67,7 +68,8 @@ def test_phi_fifth_power_is_one_piece(nonsimple4):
 def test_word_inverse_cancels(j3):
     # w.w^-1 is the partial identity on ran(w); it is the full identity
     # exactly when w evaluates to a total bijection
-    from fskit.eppm import is_identity_on_domain, is_total, region_equal
+    from fskit.eppm import is_total
+    from region_walk import is_identity_on_domain, region_equal
 
     rng = random.Random(0)
     for _ in range(30):
@@ -140,10 +142,10 @@ def test_fraction_identity(j3):
 
 def test_fraction_yb_ya(j3):
     f = fraction_yb_ya(j3)
-    assert Piece("0", "00") in f.pieces
-    assert len(f.families) == 1
-    fam = f.families[0]
-    assert fam.dom_base == "1" and fam.ran_base == ""
+    # one family at base e: slab 1^(2m).0 -> 1^(2m).00 and slab 1^(2m+1).0
+    # -> 1^(2m).01, 1^(2m).10
+    blocks = (("0", "00"), ("100", "01"), ("101", "10"))
+    assert f == make_eppm(families=[Family("", "", 2, 2, blocks)])
     assert evaluate(f, parse_point("(0)")) == parse_point("(0)")
     assert evaluate(f, parse_point("(1)")) == parse_point("(1)")
 
@@ -245,7 +247,8 @@ def test_support_yb_ya(j3):
     f = fraction_yb_ya(j3)
     s = support(f)
     assert parse_point("(1)") in s.fixed_points
-    assert parse_point("(0)") in s.fixed_points
+    # (0) is the first point of the ladder 1^(2m).0.(0)^inf
+    assert parse_point("(0)") in [ladder.point(0) for ladder in s.fixed_ladders]
     assert s.fixed_ladders  # infinitely many fixed points accumulating at 1
     ladder = s.fixed_ladders[0]
     for m in range(5):

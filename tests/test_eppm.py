@@ -18,10 +18,8 @@ from fskit.eppm import (
     evaluate,
     in_domain,
     invert,
-    is_identity_on_domain,
     is_total,
     make_eppm,
-    region_equal,
     region_subset,
     restrict,
     restrict_family,
@@ -36,6 +34,7 @@ from conftest import (
     random_signed_word,
     vine_class,
 )
+from region_walk import is_identity_on_domain, region_equal
 
 
 def b1(cls):
