@@ -7,8 +7,7 @@ either signed generator words (`A1 B1^-1`) or fractions
 
 Exit codes: 0 success, 1 usage/parse error (also check-simple --max-len < 1,
 plot --depth < 0 and svg plot --width or --height < 1), 2 validation error,
-3 representation overflow / inconclusive probe, 10 check-simple found a
-collapse.
+10 check-simple found a collapse.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import json
 import sys
 
 from . import dynamics, plrender, probe as probe_mod
-from .eppm import EppmError, RepresentationOverflow, UndefinedAt
+from .eppm import EppmError, UndefinedAt
 from .forest import End, ForestError
 from .presentation import (
     GENERAL,
@@ -36,7 +35,6 @@ from .sequences import PointSyntaxError, parse_point
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
-EXIT_OVERFLOW = 3
 EXIT_COLLAPSE = 10
 
 
@@ -102,11 +100,7 @@ def cmd_check_simple(args) -> int:
     cls = require_class(p)
     report = probe_mod.probe(cls, args.max_len, presentation_name=p.name)
     print(report.to_json())
-    if report.outcome == "CollapseFound":
-        return EXIT_COLLAPSE
-    if report.outcome == "Inconclusive":
-        return EXIT_OVERFLOW
-    return EXIT_OK
+    return EXIT_COLLAPSE if report.outcome == "CollapseFound" else EXIT_OK
 
 
 def cmd_eval(args) -> int:
@@ -263,9 +257,6 @@ def main(argv=None) -> int:
     except (PointSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RepresentationOverflow as exc:
-        print(f"overflow: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
     except (PresentationError, ForestError, EppmError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -272,6 +272,12 @@ class FixedLadder:
 
 @dataclass(frozen=True)
 class Support:
+    """Where a total map is the identity, read off its normal form, so that
+    every writing of the map gets the same Support.  A family's fixed
+    points, its layer 0 included, are reported only as fixed_ladders;
+    fixed_points holds the fixed points of pieces, of family limits and of
+    isolated limits."""
+
     fixed_cones: tuple[str, ...]
     fixed_points: tuple[EvPeriodic, ...]
     fixed_ladders: tuple[FixedLadder, ...]

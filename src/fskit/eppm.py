@@ -19,8 +19,9 @@ canonicalize builds a unique normal form in one pass (see "normal form"
 below), so two Eppms denote the same partial map exactly when their
 normal forms are ==, and that is all equals does.  The finite-state walk
 over cone refinements (region_subset) now serves only is_total.
-Composition through families that does not stabilise within the computed
-unfolding bound raises RepresentationOverflow rather than guessing.
+Composition through a family is exact: below a deep enough roof only the
+families at the roof's own point act, and one lap of their common step
+gives the output families (see _compose_through_family).
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ class UndefinedAt(EppmError):
     def __init__(self, point):
         super().__init__(f"map undefined at {point}")
         self.point = point
-
-
-class RepresentationOverflow(EppmError):
-    pass
 
 
 class NotTotal(EppmError):
@@ -156,29 +153,6 @@ def eq_runs(p1: str, k1: int, s1: str, p2: str, k2: int, s2: str) -> bool:
         if p1 + _ones(m * k1) + s1 != p2 + _ones(m * k2) + s2:
             return False
     return True
-
-
-def _insertion_range(y0: str, y1: str) -> Optional[tuple[int, int, int]]:
-    """Positions L where y1 == y0[:L] + 1^delta + y0[L:]; returns
-    (delta, Lmin, Lmax) or None."""
-    delta = len(y1) - len(y0)
-    if delta <= 0:
-        return None
-    lo = hi = None
-    for L in range(len(y0) + 1):
-        if (
-            y1[:L] == y0[:L]
-            and y1[L : L + delta] == _ones(delta)
-            and y1[L + delta :] == y0[L:]
-        ):
-            if lo is None:
-                lo = L
-            hi = L
-        elif lo is not None:
-            break
-    if lo is None:
-        return None
-    return delta, lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +347,20 @@ def _compose_through_family(
     fams: list[Family],
     limits: list[LimitPair],
 ) -> None:
+    """Compose f through the pieces of g_fam: its layers below m0 one by
+    one, the rest under the roof rb.1^(m0 c') all at once.
+
+    m0 makes the roof longer than _max_depth(f), and its trailing 1-run at
+    least c' longer than every family block of f.  An atom of f that meets
+    the roof cone without covering it then has a dom longer than the roof.
+    An explicit piece cannot: it is no longer than _max_depth(f).  A piece
+    of a family at another point than rb.1^inf would need a block longer
+    than the roof's trailing 1-run.  So only one piece covering the roof,
+    or else only the families at the roof's own point, act below it."""
     db, rb = g_fam.dom_base, g_fam.ran_base
     c, cp = g_fam.dom_step, g_fam.ran_step
-    m0 = max(0, -(-(_max_depth(f) - len(rb)) // cp)) + 1
+    longest = max((len(d) for fam in f.families for d, _ in fam.blocks), default=0)
+    m0 = max(0, -(-(_max_depth(f) - len(rb)) // cp), -(-longest // cp)) + 1
 
     for m in range(m0):
         for block in g_fam.blocks:
@@ -389,113 +374,64 @@ def _compose_through_family(
 
     roof = rb + _ones(m0 * cp)
     sub = restrict(f, roof)
-    if not sub.pieces and not sub.families:
-        return
-
-    full = next((p for p in sub.pieces if p.dom == roof), None)
-    if full is not None and not sub.families:
-        fams.append(
-            Family(
-                db + _ones(m0 * c),
-                full.ran,
-                c,
-                cp,
-                g_fam.blocks,
-                carries_limit=False,
+    if not sub.families:
+        if sub.pieces:  # the one piece that covers the roof
+            fams.append(
+                Family(
+                    db + _ones(m0 * c),
+                    sub.pieces[0].ran,
+                    c,
+                    cp,
+                    g_fam.blocks,
+                    carries_limit=False,
+                )
             )
-        )
         return
 
-    _compose_family_tail(f, g_fam, m0, fams, pieces)
+    x = rb.rstrip("1")
+    for fam in f.families:
+        if fam.dom_base.rstrip("1") == x:
+            _compose_family_tail(fam, g_fam, m0, fams)
 
 
 def _compose_family_tail(
-    f: Eppm,
-    g_fam: Family,
-    m0: int,
-    fams: list[Family],
-    pieces: list[Piece],
+    f_fam: Family, g_fam: Family, m0: int, fams: list[Family]
 ) -> None:
-    """General tail composition through families of f, by unfolding the
-    g-family to a common step and verifying shift-coherence on samples."""
+    """The families of f_fam after the layers m >= m0 of g_fam, the roof
+    rb.1^(m0 c') lying in f_fam's 1-run (see _compose_through_family).
+
+    A lap is lcm(c', c_F) ones.  One more lap in the 1-run of a cone below
+    the roof moves each piece of f_fam that meets the cone up by lap/c_F
+    layers, and no lower layer meets the moved cone, because the run is
+    longer than f_fam's blocks.  So a piece p of f_fam in the cone of
+    g_fam's layer m0 + rho, block (d, r), is one family over the laps M:
+
+        db.1^((m0 + rho + M.lap/c') c).d.s  |->  rb_F.1^(M.lap/c_F.c'_F).t
+
+    with p = (cone.s, rb_F.t).  canonicalize merges these families."""
     db, rb = g_fam.dom_base, g_fam.ran_base
     c, cp = g_fam.dom_step, g_fam.ran_step
-    steps = [fam.dom_step for fam in f.families] or [1]
-    big = lcm(cp, *steps)
-    unfold = big // cp
-    dom_step_out = unfold * c
-
-    # candidate blocks: (relative dom suffix, y0, delta, Lmin, Lmax)
-    candidates = []
+    lap = lcm(cp, f_fam.dom_step)
+    unfold = lap // cp
+    ran_step = lap // f_fam.dom_step * f_fam.ran_step
     for rho in range(unfold):
         for d, r in g_fam.blocks:
-            samples = []
-            for k in (0, 1, 2):
-                m = m0 + rho + k * unfold
-                cone_dom = db + _ones(m * c) + d
-                cone_ran = rb + _ones(m * cp) + r
-                sub = restrict(f, cone_ran)
-                if sub.families:
-                    raise RepresentationOverflow(
-                        "family alignment did not stabilise at depth "
-                        f"{len(cone_ran)}"
-                    )
-                samples.append(
-                    (cone_dom, sorted((p.dom[len(cone_ran) :], p.ran) for p in sub.pieces))
+            cone = rb + _ones((m0 + rho) * cp) + r
+            for p in restrict_family(f_fam, cone)[0]:
+                block = (
+                    _ones(rho * c) + d + p.dom[len(cone) :],
+                    p.ran[len(f_fam.ran_base) :],
                 )
-            tails0 = [t for t, _ in samples[0][1]]
-            if [t for t, _ in samples[1][1]] != tails0 or [
-                t for t, _ in samples[2][1]
-            ] != tails0:
-                raise RepresentationOverflow("tail structure is not layer-periodic")
-            for idx, (tail, y0) in enumerate(samples[0][1]):
-                y1 = samples[0 + 1][1][idx][1]
-                y2 = samples[2][1][idx][1]
-                ins = _insertion_range(y0, y1)
-                if ins is None:
-                    raise RepresentationOverflow("ran strings are not run-shifted")
-                delta, lo, hi = ins
-                if y2 != y0[:lo] + _ones(2 * delta) + y0[lo:]:
-                    raise RepresentationOverflow("ran strings are not run-shifted")
-                rel_dom = _ones((rho) * c) + d + tail
-                candidates.append((rel_dom, y0, delta, lo, hi))
-
-    dom_base_out = db + _ones(m0 * c)
-
-    # group candidates into families sharing (delta, ran base)
-    groups: dict[tuple[int, str], list[tuple[str, str, int, int]]] = {}
-    for rel_dom, y0, delta, lo, hi in candidates:
-        anchor = y0[:lo]
-        key_base = anchor.rstrip("1")
-        min_ext = lo - len(key_base)
-        max_ext = hi - len(key_base)
-        groups.setdefault((delta, key_base), []).append(
-            (rel_dom, y0, min_ext, max_ext)
-        )
-
-    for (delta, key_base), members in sorted(groups.items()):
-        members = sorted(members)
-        ext = max(m[2] for m in members)
-        if ext > min(m[3] for m in members):
-            # incompatible extents: emit singleton families
-            for rel_dom, y0, min_ext, _ in members:
-                base = key_base + _ones(min_ext)
                 fams.append(
                     Family(
-                        dom_base_out,
-                        base,
-                        dom_step_out,
-                        delta,
-                        ((rel_dom, y0[len(base) :]),),
+                        db + _ones(m0 * c),
+                        f_fam.ran_base,
+                        unfold * c,
+                        ran_step,
+                        (block,),
                         carries_limit=False,
                     )
                 )
-            continue
-        base = key_base + _ones(ext)
-        blocks = tuple((rel_dom, y0[len(base) :]) for rel_dom, y0, _, _ in members)
-        fams.append(
-            Family(dom_base_out, base, dom_step_out, delta, blocks, carries_limit=False)
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .dynamics import caret_map, compose, is_power_of_a1
-from .eppm import Eppm, IDENTITY, RepresentationOverflow, evaluate
+from .eppm import Eppm, IDENTITY, evaluate
 from .presentation import (
     TwoColourRightVine,
     enumerate_good_words,
@@ -45,11 +45,10 @@ def kappa_omega(cls: TwoColourRightVine, word: str, start: Eppm = IDENTITY) -> E
 class ProbeReport:
     presentation: str
     max_len: int
-    outcome: str  # "CollapseFound" | "NoCollapseUpTo" | "Inconclusive"
+    outcome: str  # "CollapseFound" | "NoCollapseUpTo"
     collapse_word: Optional[str] = None
     collapse_power: Optional[int] = None
     tested: int = 0
-    inconclusive: tuple[str, ...] = ()
     seconds: float = 0.0
 
     def to_json(self) -> str:
@@ -58,7 +57,8 @@ class ProbeReport:
             "max_len": self.max_len,
             "outcome": self.outcome,
             "tested": self.tested,
-            "inconclusive": list(self.inconclusive),
+            # kept for readers of the report format: every word is decided
+            "inconclusive": [],
             "seconds": round(self.seconds, 3),
         }
         if self.collapse_word is not None:
@@ -68,20 +68,19 @@ class ProbeReport:
 
 def good_word_images(
     cls: TwoColourRightVine, max_len: int
-) -> Iterator[tuple[str, Optional[Eppm]]]:
+) -> Iterator[tuple[str, Eppm]]:
     """(w, kappa_omega(cls, w)) for the non-trivial good words w of length
-    <= max_len in enumeration order, None where the map overflowed.
+    <= max_len in enumeration order.
 
     Each word's map is its prefix's map extended by one letter, the same
     Eppm as the per-word fold.  The prefix of a non-trivial good word is one
     of length one less, or a power of a, so only the maps of the previous
-    length are kept.  A prefix whose map overflowed makes every extension
-    overflow, as the per-word fold would."""
+    length are kept."""
     a = cls.colour_a
     # maps of the words of the current and the previous length, the power
     # of a among them
-    level: dict[str, Optional[Eppm]] = {"": IDENTITY}
-    prev: dict[str, Optional[Eppm]] = {}
+    level: dict[str, Eppm] = {"": IDENTITY}
+    prev: dict[str, Eppm] = {}
     length = 0
     # the whole enumeration first, so that a trace times it apart from the maps
     words = list(enumerate_good_words(cls, max_len))
@@ -90,12 +89,7 @@ def good_word_images(
             length = len(word)
             prev = level
             level = {a * length: kappa_omega(cls, a, prev[a * (length - 1)])}
-        image = prev[word[:-1]]
-        if image is not None:
-            try:
-                image = kappa_omega(cls, word[-1], image)
-            except RepresentationOverflow:
-                image = None
+        image = kappa_omega(cls, word[-1], prev[word[:-1]])
         level[word] = image
         yield word, image
 
@@ -111,45 +105,24 @@ def probe(
     Since kappa_omega(a^i.w') = A1^i kappa_omega(w') and A1 is injective, a
     collapse of a^i.w' to A1^j is a collapse of w' to A1^(j-i), and w' is a
     shorter non-trivial good word.  So the first reported collapse is the
-    a-stripped form of any a-prefixed collapse (unless w' overflowed and is
-    listed as inconclusive): for a1 a1 a3 a4 = b1 b2 b3 b4 it is babababab
-    with j = 8, not ababababab with j = 9."""
+    a-stripped form of any a-prefixed collapse: for a1 a1 a3 a4 = b1 b2 b3 b4
+    it is babababab with j = 8, not ababababab with j = 9."""
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
     start = time.monotonic()
     tested = 0
-    inconclusive: list[str] = []
     found: Optional[tuple[str, int]] = None
     for word, image in good_word_images(cls, max_len):
         tested += 1
-        if image is None:
-            inconclusive.append(word)
-            continue
-        try:
-            j = is_power_of_a1(image)
-        except RepresentationOverflow:
-            inconclusive.append(word)
-            continue
+        j = is_power_of_a1(image)
         if j is not None:
             found = (word, j)
             break
 
     seconds = time.monotonic() - start
-    if found:
-        outcome = "CollapseFound"
-    else:
-        outcome = "Inconclusive" if inconclusive else "NoCollapseUpTo"
+    outcome = "CollapseFound" if found else "NoCollapseUpTo"
     word, j = found or (None, None)
-    return ProbeReport(
-        presentation_name,
-        max_len,
-        outcome,
-        word,
-        j,
-        tested,
-        tuple(inconclusive),
-        seconds,
-    )
+    return ProbeReport(presentation_name, max_len, outcome, word, j, tested, seconds)
 
 
 class WrongShape(Exception):

@@ -12,6 +12,12 @@ canonicalize is checked on two other writings of each product: the union
 of its restrictions to the cones 0 and 1, and the product with every family
 unrolled by a few layers into explicit pieces.  Both denote the same map,
 so their canonical forms must agree with the oracle at the same points.
+
+The products come from two sources: factors on one presentation, and such
+a product composed after another presentation's B1^(+-1) behind a deep
+A-prefix.  The prefix is cut just before a 1 inside one of the product's
+family blocks, so the 1-run of the B1 family, whose steps are another
+presentation's, runs into a piece of a family at another point.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from conftest import (
     unrolled,
     vine_class,
 )
-from fskit.dynamics import evaluate_fraction, evaluate_word
+from fskit.dynamics import evaluate_fraction, evaluate_word, parse_signed_word
 from fskit.eppm import IDENTITY, UndefinedAt, canonicalize, compose, evaluate
 from fskit.forest import leaf_count
 from fskit.sequences import ev_periodic
@@ -102,16 +108,17 @@ def oracle_image(actions, p):
     return p
 
 
-@pytest.mark.parametrize("name", sorted(CLASSES))
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_compose_and_canonicalize_match_oracle_at_deep_points(name, seed):
-    cls = CLASSES[name]
-    rng = random.Random(seed)
-    parts = [random_part(cls, rng) for _ in range(rng.randint(1, 4))]
+def product_of(parts):
     product = IDENTITY
     for m, _ in parts:
         product = compose(product, m)
+    return product
+
+
+def check_against_oracle(parts, rng: random.Random):
+    """The product of the parts' maps, its canonical rewritings and the
+    oracle agree at the deep points of all three."""
+    product = product_of(parts)
     actions = [act for _, act in parts]
     variants = [
         product,
@@ -122,4 +129,49 @@ def test_compose_and_canonicalize_match_oracle_at_deep_points(name, seed):
     for p in points:
         want = oracle_image(actions, p)
         for f in variants:
-            assert image(f, p) == want, (name, str(p), str(f))
+            assert image(f, p) == want, (str(p), str(f))
+
+
+def b1_behind(cls, prefix: str, exp: int):
+    """z -> prefix.B1^exp(z) on the cone prefix, as a part: the signed word
+    A_prefix B1^exp A_prefix^-1."""
+    a = tuple((f"A{bit}", 1) for bit in prefix)
+    word = a + (("B1", exp),) + tuple((token, -1) for token, _ in reversed(a))
+    return evaluate_word(cls, word), lambda p: stream_oracle.apply_word(cls, word, p)
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_compose_and_canonicalize_match_oracle_at_deep_points(name, seed):
+    cls = CLASSES[name]
+    rng = random.Random(seed)
+    check_against_oracle([random_part(cls, rng) for _ in range(rng.randint(1, 4))], rng)
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_mixed_step_composition_matches_oracle_at_deep_points(name, seed):
+    cls = CLASSES[name]
+    rng = random.Random(seed)
+    parts = [random_part(cls, rng) for _ in range(rng.randint(1, 4))]
+    cuts = [
+        fam.dom_base + "1" * (rng.randint(0, 4) * fam.dom_step) + d[:i]
+        for fam in product_of(parts).families
+        for d, _ in fam.blocks
+        for i, bit in enumerate(d)
+        if bit == "1"
+    ]
+    prefix = rng.choice(cuts) if cuts else "1" * rng.randint(8, 14) + "0"
+    other = CLASSES[rng.choice([n for n in sorted(CLASSES) if n != name])]
+    parts.append(b1_behind(other, prefix, rng.choice((1, -1))))
+    check_against_oracle(parts, rng)
+
+
+def test_mixed_step_composition_pinned(j3, cleary2):
+    # a roof placed past the product's depth alone, 1^10.0.1, meets the
+    # piece 1^10.011 of the product's family at 1^inf without covering it
+    word = parse_signed_word("B1 A1^-1 B1")
+    f = (evaluate_word(j3, word), lambda p: stream_oracle.apply_word(j3, word, p))
+    check_against_oracle([f, b1_behind(cleary2, "11111111110", 1)], random.Random(0))

@@ -36,7 +36,13 @@ from fskit.forest import build_tree, identity_perm, leaf_count, parse_caret_word
 from fskit.sequences import parse_point, tail_equivalent
 
 import stream_oracle
-from conftest import random_point, random_signed_word, random_tree
+from conftest import (
+    random_point,
+    random_signed_word,
+    random_tree,
+    split_at_root,
+    unrolled,
+)
 
 
 def tree(text):
@@ -262,6 +268,20 @@ def test_support_after_cancel(j3):
     s = support(h)
     assert s.fixed_cones == ("",)
     assert not s.moved_cones
+
+
+def test_support_reads_the_map_not_its_writing(j3, nonsimple4, cleary2, rho2):
+    # support canonicalizes first, so two writings of one map, a family
+    # unrolled into pieces or split at the root, report the same fields
+    rng = random.Random(11)
+    for cls in (j3, nonsimple4, cleary2, rho2):
+        for _ in range(40):
+            s = random_tree(rng, rng.randint(1, 4))
+            t = random_tree(rng, leaf_count(s) - 1)
+            perm = list(range(1, leaf_count(s) + 1))
+            rng.shuffle(perm)
+            h = evaluate_fraction(cls, t, tuple(perm), s)
+            assert support(h) == support(unrolled(h, 3)) == support(split_at_root(h))
 
 
 # ---------------------------------------------------------------------------
