@@ -19,8 +19,10 @@ canonicalize builds a unique normal form in one pass (see "normal form"
 below), so two Eppms denote the same partial map exactly when their
 normal forms are ==, and that is all equals does.  The finite-state walk
 over cone refinements (region_subset) now serves only is_total.
-Composition through a family is exact: below a deep enough roof only the
-families at the roof's own point act, and one lap of their common step
+Composition through a family is exact: f is restricted once to the
+family's range cone, and the layers are unrolled only down to a roof
+placed from what acts there.  Below it one piece covers the roof, or only
+the families at the roof's own point act, and one lap of their common step
 gives the output families (see _compose_through_family).
 """
 
@@ -350,17 +352,45 @@ def _compose_through_family(
     """Compose f through the pieces of g_fam: its layers below m0 one by
     one, the rest under the roof rb.1^(m0 c') all at once.
 
-    m0 makes the roof longer than _max_depth(f), and its trailing 1-run at
-    least c' longer than every family block of f.  An atom of f that meets
-    the roof cone without covering it then has a dom longer than the roof.
-    An explicit piece cannot: it is no longer than _max_depth(f).  A piece
-    of a family at another point than rb.1^inf would need a block longer
-    than the roof's trailing 1-run.  So only one piece covering the roof,
-    or else only the families at the roof's own point, act below it."""
+    Only f's atoms in the cone rb act on g_fam's ranges, so f is first
+    restricted to rb.  Write x = rb with its trailing 1s stripped.  m0 is
+    the least m >= 0 that makes the roof as long as every piece of the
+    restriction, as every deeper point y of its families at y.1^inf, and
+    as len(base) + the longest leading 1-run of a block for its families
+    at x.1^inf.  Below the roof, then:
+
+    - a piece no longer than the roof meets the roof cone only by covering
+      it;
+    - a family base in the cone rb is y.1^k with y not ending in 1; if y
+      is no longer than rb, y is x.  A deeper point y is rb.1^i.0..., so
+      it has a 0 where the roof has a 1, and its family cannot meet the
+      roof cone;
+    - for a family at x, the 1-run of a cone roof.1^(rho c').r past the
+      family's base is at least every block's leading run.  A block d
+      with l leading 1s meets the cone in one layer at most,
+      (run - l)/c_F when that is whole, and the layer is >= 0 at every
+      rho.  One more lap of lcm(c', c_F) ones shifts every hit by
+      lap/c_F layers, which is what _compose_family_tail needs.
+    - A block of 1s alone, in f's domains or in g_fam's ranges, would
+      break this, but it cannot occur: its cone at layer m would hold the
+      cones of all later layers, so f would not be a function or g_fam
+      not injective.
+
+    So only one piece covering the roof, or else only the families at x,
+    act below it."""
     db, rb = g_fam.dom_base, g_fam.ran_base
     c, cp = g_fam.dom_step, g_fam.ran_step
-    longest = max((len(d) for fam in f.families for d, _ in fam.blocks), default=0)
-    m0 = max(0, -(-(_max_depth(f) - len(rb)) // cp), -(-longest // cp)) + 1
+    f = restrict(f, rb)
+    x = rb.rstrip("1")
+    depth = max((len(p.dom) for p in f.pieces), default=0)
+    for fam in f.families:
+        y = fam.dom_base.rstrip("1")
+        if y != x:
+            depth = max(depth, len(y))
+        else:
+            lead = max((_lead_ones(d) for d, _ in fam.blocks), default=0)
+            depth = max(depth, len(fam.dom_base) + lead)
+    m0 = max(0, -(-(depth - len(rb)) // cp))
 
     for m in range(m0):
         for block in g_fam.blocks:
@@ -388,7 +418,6 @@ def _compose_through_family(
             )
         return
 
-    x = rb.rstrip("1")
     for fam in f.families:
         if fam.dom_base.rstrip("1") == x:
             _compose_family_tail(fam, g_fam, m0, fams)
@@ -402,9 +431,10 @@ def _compose_family_tail(
 
     A lap is lcm(c', c_F) ones.  One more lap in the 1-run of a cone below
     the roof moves each piece of f_fam that meets the cone up by lap/c_F
-    layers, and no lower layer meets the moved cone, because the run is
-    longer than f_fam's blocks.  So a piece p of f_fam in the cone of
-    g_fam's layer m0 + rho, block (d, r), is one family over the laps M:
+    layers, and no lower layer meets the moved cone, because the run past
+    f_fam's base is at least every block's leading run.  So a piece p of
+    f_fam in the cone of g_fam's layer m0 + rho, block (d, r), is one
+    family over the laps M:
 
         db.1^((m0 + rho + M.lap/c') c).d.s  |->  rb_F.1^(M.lap/c_F.c'_F).t
 

@@ -42,10 +42,11 @@ class EvPeriodic:
         return self.per[(i - len(self.pre)) % len(self.per)]
 
     def prefix(self, n: int) -> str:
-        return "".join(self.letter(i) for i in range(n))
+        laps = max(0, -(-(n - len(self.pre)) // len(self.per)))  # ceil
+        return (self.pre + self.per * laps)[:n]
 
     def starts_with(self, w: str) -> bool:
-        return all(self.letter(i) == ch for i, ch in enumerate(w))
+        return self.prefix(len(w)) == w
 
     def drop(self, n: int) -> "EvPeriodic":
         """The sequence with its first n letters removed."""
@@ -82,7 +83,7 @@ class EvPeriodic:
 
 
 def ev_periodic(pre: str, per: str) -> EvPeriodic:
-    if not per or any(ch not in "01" for ch in pre + per):
+    if not per or (pre + per).strip("01"):
         raise PointSyntaxError(f"bad sequence {pre!r}({per!r})")
     per = _primitive(per)
     pre = str(pre)

@@ -8,6 +8,7 @@ it never compares normal forms, so it is the reference here.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -104,6 +105,21 @@ def test_product_with_its_inverse_is_identity(name, k):
         assert inverse_product(maps) == IDENTITY
 
 
+@pytest.mark.parametrize("name", ["j3", "nonsimple4"])
+def test_large_product_with_its_inverse_in_budget(name):
+    # a product of 128 random fractions, over a hundred atoms; its compose
+    # with its inverse stays under 1 s
+    cls = CLASSES[name]
+    rng = random.Random(f"large {name}")
+    p = product([random_fraction(cls, rng) for _ in range(128)])
+    q = invert(p)
+    start = time.perf_counter()
+    identity = compose(p, q)
+    elapsed = time.perf_counter() - start
+    assert identity == IDENTITY
+    assert elapsed < 1.0, elapsed
+
+
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(CLASSES)), seed=st.integers(0, 2**32 - 1))
 def test_other_writings_have_the_same_form(name, seed):
@@ -122,6 +138,31 @@ def test_other_writings_have_the_same_form(name, seed):
     )
     assert canonicalize(split_at_root(h)) == h
     assert canonicalize(unrolled(h, rng.randint(1, 3))) == h
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(CLASSES)), seed=st.integers(0, 2**32 - 1))
+def test_compose_reads_the_maps_not_their_writing(name, seed):
+    # another writing moves the family bases of f or g, and so the roof
+    # under which compose folds g's layers into families
+    cls = CLASSES[name]
+    rng = random.Random(seed)
+
+    def element():
+        return product(
+            [
+                random_fraction(cls, rng)
+                if rng.random() < 0.7
+                else evaluate_word(cls, random_signed_word(rng, rng.randint(1, 5)))
+                for _ in range(rng.randint(1, 3))
+            ]
+        )
+
+    f, g = element(), element()
+    h = compose(f, g)
+    assert compose(unrolled(f, rng.randint(1, 3)), g) == h
+    assert compose(f, unrolled(g, rng.randint(1, 3))) == h
+    assert compose(split_at_root(f), split_at_root(g)) == h
 
 
 @pytest.mark.parametrize("name", FRACTION_CLASSES)

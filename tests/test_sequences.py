@@ -59,6 +59,28 @@ def test_prepend_drop_inverse(w, pre, per):
     assert p.prepend(w).drop(len(w)) == p
 
 
+@pytest.mark.parametrize(
+    "pre, per", [("", ""), ("01", ""), ("2", "0"), ("0", "12"), ("0 1", "1"), ("", " ")]
+)
+def test_bad_letters_and_empty_period_are_rejected(pre, per):
+    with pytest.raises(PointSyntaxError):
+        ev_periodic(pre, per)
+
+
+@given(binary, binary1, st.text(alphabet="01", max_size=20))
+def test_starts_with_and_prefix_agree_with_letters(pre, per, w):
+    p = ev_periodic(pre, per)
+    letters = "".join(p.letter(i) for i in range(len(w)))
+    assert p.prefix(len(w)) == letters
+    assert p.starts_with(w) == (w == letters)
+    # a word read off the sequence itself, and the same word with its last
+    # letter flipped
+    assert p.starts_with(letters)
+    if letters:
+        flipped = letters[:-1] + ("0" if letters[-1] == "1" else "1")
+        assert not p.starts_with(flipped)
+
+
 def test_parse_point():
     assert parse_point("01(10)") == ev_periodic("01", "10")
     assert parse_point("(1)") == OMEGA
