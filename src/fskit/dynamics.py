@@ -245,7 +245,15 @@ def is_cyclic_order_preserving(f: Eppm) -> bool:
     return descents <= 1
 
 
+def _require_bijection(f: Eppm, test: str) -> None:
+    if not is_total(f) or not is_total(invert(f)):
+        raise NotBijective(f"{test} requires a bijection of the Cantor space")
+
+
 def classify_element(f: Eppm) -> str:
+    """'F', 'T' or 'V': the least of the three groups holding the bijection
+    f."""
+    _require_bijection(f, "F/T/V membership")
     if is_order_preserving(f):
         return "F"
     if is_cyclic_order_preserving(f):
@@ -421,9 +429,17 @@ def germ_at(f: Eppm, p: EvPeriodic) -> Germ:
     q = evaluate(f, p)
     if not q.has_tail("1"):
         raise ValueError("image has no tail-(1)^inf form; germ not representable")
-    depth = eppm._max_depth(f) + max(
-        [fam.dom_step for fam in f.families] or [1]
-    ) + len(p.pre) + len(q.pre) + 2
+    # past every piece and two layers and the longest block of every family,
+    # then the longest step and both points' prefixes
+    depth = max(
+        [len(piece.dom) for piece in f.pieces]
+        + [
+            len(fam.dom_base) + 2 * fam.dom_step + max(len(d) for d, _ in fam.blocks)
+            for fam in f.families
+        ],
+        default=0,
+    )
+    depth += max([fam.dom_step for fam in f.families] or [1]) + len(p.pre) + len(q.pre) + 2
     return Germ(p, q, depth, f)
 
 
@@ -436,6 +452,7 @@ def bi_order_compare(f: Eppm, g: Eppm) -> str:
     'less', 'equal', or 'greater'.  f > g iff f o g^-1 exceeds the identity,
     decided by the slope at the first deviating cone."""
     for m in (f, g):
+        _require_bijection(m, "the bi-order")
         if not is_order_preserving(m):
             raise NotOrderPreserving("bi-order needs order-preserving inputs")
     if equals(f, g):
@@ -452,18 +469,21 @@ def bi_order_compare(f: Eppm, g: Eppm) -> str:
 
 def _first_deviation(h: Eppm) -> Optional[tuple[str, str]]:
     """The (dom, ran) of the generated piece with lexicographically least
-    domain where h differs from the identity."""
+    domain where h differs from the identity, taking each family block at
+    its first deviating layer.
+
+    That layer is 0 or 1, or there is none: with equal steps, a block that
+    is the identity at layers 0 and 1 is the identity at every layer
+    (eq_runs), and with unequal steps dom and ran have equal lengths at
+    one layer at most."""
     candidates = []
     for p in h.pieces:
         if p.dom != p.ran:
             candidates.append((_pad_key(p.dom), (p.dom, p.ran)))
     for fam in h.families:
-        for d, r in sorted(fam.blocks):
-            bound = (
-                len(fam.dom_base) + len(fam.ran_base) + len(d) + len(r)
-            ) // max(fam.dom_step, 1) + 2
-            for m in range(bound + 1):
-                piece = fam.piece_at(m, (d, r))
+        for block in fam.blocks:
+            for m in (0, 1):
+                piece = fam.piece_at(m, block)
                 if piece.dom != piece.ran:
                     candidates.append((_pad_key(piece.dom), (piece.dom, piece.ran)))
                     break

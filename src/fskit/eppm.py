@@ -17,8 +17,10 @@ canonicalize folds it back.
 
 canonicalize builds a unique normal form in one pass (see "normal form"
 below), so two Eppms denote the same partial map exactly when their
-normal forms are ==, and that is all equals does.  The finite-state walk
-over cone refinements (region_subset) now serves only is_total.
+normal forms are ==, and that is all equals does.  Domains are decided on
+the normal form too: dom(f) lies in dom(g) exactly when the identity on
+dom(f), composed with the identity on dom(g), keeps the form of the
+identity on dom(f) (region_subset, and is_total from it).
 Composition through a family is exact: f is restricted once to the
 family's range cone, and the layers are unrolled only down to a roof
 placed from what acts there.  Below it one piece covers the roof, or only
@@ -147,14 +149,16 @@ def make_eppm(
 
 
 def eq_runs(p1: str, k1: int, s1: str, p2: str, k2: int, s2: str) -> bool:
-    """Whether p1.1^{m k1}.s1 == p2.1^{m k2}.s2 for every m >= 0."""
-    if k1 != k2 or len(p1) + len(s1) != len(p2) + len(s2):
-        return False
-    bound = (len(p1) + len(s1) + len(p2) + len(s2)) // max(k1, 1) + 2
-    for m in range(bound + 1):
-        if p1 + _ones(m * k1) + s1 != p2 + _ones(m * k2) + s2:
-            return False
-    return True
+    """Whether p1.1^{m k1}.s1 == p2.1^{m k2}.s2 for every m >= 0.
+
+    Layers 0 and 1 decide it.  With k1 != k2 the lengths agree at one m
+    at most.  With k1 == k2 = k, say p2 = p1.e (else swap the sides):
+    layer 0 gives s1 = e.s2, and layer 1 then gives 1^k.e = e.1^k.  Words
+    that commute are powers of one word, so e is a run of 1s, which
+    commutes with every 1^(mk)."""
+    return k1 == k2 and all(
+        p1 + _ones(m * k1) + s1 == p2 + _ones(m * k2) + s2 for m in (0, 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +289,6 @@ def invert(f: Eppm) -> Eppm:
 
 # ---------------------------------------------------------------------------
 # composition: compose(f, g) applies g first, then f
-
-
-def _max_depth(f: Eppm) -> int:
-    depth = 0
-    for p in f.pieces:
-        depth = max(depth, len(p.dom))
-    for fam in f.families:
-        longest = max((len(d) for d, _ in fam.blocks), default=0)
-        depth = max(depth, len(fam.dom_base) + 2 * fam.dom_step + longest)
-    return depth
 
 
 def _pullback(atoms: Eppm, new: str, old: str) -> tuple[list[Piece], list[Family]]:
@@ -679,58 +673,31 @@ def canonicalize(f: Eppm) -> Eppm:
 
 
 # ---------------------------------------------------------------------------
-# region comparison (domain shapes), via a finite-state cone walk
+# domains, on the normal form
 
 
-def _region_key(f: Eppm, w: str):
-    pieces = tuple(sorted(p.dom[len(w) :] for p in f.pieces))
-    fams = tuple(
-        sorted(
-            (
-                fam.dom_base[len(w) :],
-                fam.dom_step,
-                tuple(sorted(d for d, _ in fam.blocks)),
-                fam.carries_limit,
+def _domain(f: Eppm) -> Eppm:
+    """The identity on dom(f)."""
+    return Eppm(
+        tuple(Piece(p.dom, p.dom) for p in f.pieces),
+        tuple(
+            replace(
+                fam,
+                ran_base=fam.dom_base,
+                ran_step=fam.dom_step,
+                blocks=tuple((d, d) for d, _ in fam.blocks),
             )
             for fam in f.families
-        )
+        ),
+        tuple((p, p) for p, _ in f.limits),
     )
-    pts = tuple(sorted((p.drop(len(w)).pre, p.drop(len(w)).per) for p, _ in f.limits))
-    return pieces, fams, pts
 
 
 def region_subset(f: Eppm, g: Eppm) -> bool:
-    """Whether dom(f) is contained in dom(g)."""
-    memo: dict = {}
-    in_progress: dict = {}
-
-    def walk(w: str, rf: Eppm, rg: Eppm) -> bool:
-        if rf.is_empty():
-            return True
-        if any(p.dom == w for p in rg.pieces):
-            return True  # g is defined on the whole cone
-        if rg.is_empty():
-            return False
-        if not rf.pieces and not rf.families:
-            # only isolated points of f remain below w
-            return all(in_domain(g, p) for p, _ in rf.limits)
-        key = (_region_key(rf, w), _region_key(rg, w))
-        if key in memo:
-            return memo[key]
-        if key in in_progress:
-            w0 = in_progress[key]
-            cycle = w[len(w0) :]
-            p = ev_periodic(w0, cycle) if cycle else ev_periodic(w0, "1")
-            return (not in_domain(f, p)) or in_domain(g, p)
-        in_progress[key] = w
-        ok = walk(w + "0", restrict(rf, w + "0"), restrict(rg, w + "0")) and walk(
-            w + "1", restrict(rf, w + "1"), restrict(rg, w + "1")
-        )
-        del in_progress[key]
-        memo[key] = ok
-        return ok
-
-    return walk("", f, g)
+    """Whether dom(f) is contained in dom(g): the identity on dom(f), cut
+    down to dom(g), is still the identity on dom(f)."""
+    df = _domain(f)
+    return compose(_domain(g), df) == canonicalize(df)
 
 
 def is_total(f: Eppm) -> bool:

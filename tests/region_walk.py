@@ -4,12 +4,70 @@ independent reference for it.
 Two maps are equal when their domains agree, by the finite-state cone
 walk `region_subset` in both directions, and invert(g) o f is the identity
 on its domain, which needs only the symbolic string comparison `eq_runs`.
-It never compares normal forms.
+It never compares normal forms, so it also checks fskit's own
+`region_subset` and `is_total`, which do.
 """
 
 from __future__ import annotations
 
-from fskit.eppm import Eppm, compose, eq_runs, invert, region_subset
+from fskit.eppm import IDENTITY, Eppm, compose, eq_runs, in_domain, invert, restrict
+from fskit.sequences import ev_periodic
+
+
+def _region_key(f: Eppm, w: str):
+    pieces = tuple(sorted(p.dom[len(w) :] for p in f.pieces))
+    fams = tuple(
+        sorted(
+            (
+                fam.dom_base[len(w) :],
+                fam.dom_step,
+                tuple(sorted(d for d, _ in fam.blocks)),
+                fam.carries_limit,
+            )
+            for fam in f.families
+        )
+    )
+    pts = tuple(sorted((p.drop(len(w)).pre, p.drop(len(w)).per) for p, _ in f.limits))
+    return pieces, fams, pts
+
+
+def region_subset(f: Eppm, g: Eppm) -> bool:
+    """Whether dom(f) is contained in dom(g), by a memoised walk over cone
+    refinements that stops at a repeated (f, g) shape below a cone."""
+    memo: dict = {}
+    in_progress: dict = {}
+
+    def walk(w: str, rf: Eppm, rg: Eppm) -> bool:
+        if rf.is_empty():
+            return True
+        if any(p.dom == w for p in rg.pieces):
+            return True  # g is defined on the whole cone
+        if rg.is_empty():
+            return False
+        if not rf.pieces and not rf.families:
+            # only isolated points of f remain below w
+            return all(in_domain(g, p) for p, _ in rf.limits)
+        key = (_region_key(rf, w), _region_key(rg, w))
+        if key in memo:
+            return memo[key]
+        if key in in_progress:
+            w0 = in_progress[key]
+            cycle = w[len(w0) :]
+            p = ev_periodic(w0, cycle) if cycle else ev_periodic(w0, "1")
+            return (not in_domain(f, p)) or in_domain(g, p)
+        in_progress[key] = w
+        ok = walk(w + "0", restrict(rf, w + "0"), restrict(rg, w + "0")) and walk(
+            w + "1", restrict(rf, w + "1"), restrict(rg, w + "1")
+        )
+        del in_progress[key]
+        memo[key] = ok
+        return ok
+
+    return walk("", f, g)
+
+
+def is_total(f: Eppm) -> bool:
+    return region_subset(IDENTITY, f)
 
 
 def region_equal(f: Eppm, g: Eppm) -> bool:

@@ -136,6 +136,15 @@ def test_classify_element(fsp, capsys):
     assert out.strip() == "V"
 
 
+def test_non_bijection_is_invalid(fsp, capsys):
+    # A0 is total but not onto: it has no F/T/V class and no place in the
+    # bi-order
+    code, out, err = run(capsys, "classify-element", fsp(J3_TEXT), "-e", "A0")
+    assert code == 2 and out == "" and "bijection" in err
+    code, out, err = run(capsys, "compare", fsp(J3_TEXT), "-e", "A0", "-e", "A1")
+    assert code == 2 and out == "" and "bijection" in err
+
+
 def test_singular(fsp, capsys):
     code, out, _ = run(capsys, "singular", fsp(J3_TEXT), "-e", "[b1 | id | a1]")
     assert code == 0 and out.strip() == "(1)"

@@ -229,6 +229,21 @@ def test_v_type_element(j3):
     assert classify_element(f) == "V"
 
 
+def test_non_bijections_have_no_class_and_no_order(j3):
+    # A0 is total but not onto, an order-preserving injection; it, its
+    # inverse and the identity on a cone are in none of F, T and V
+    a0 = evaluate_word(j3, (("A0", 1),))
+    assert is_order_preserving(a0)
+    f = fraction_yb_ya(j3)
+    for m in (a0, invert(a0), make_eppm(pieces=[Piece("0", "0")])):
+        with pytest.raises(NotBijective):
+            classify_element(m)
+        with pytest.raises(NotBijective):
+            bi_order_compare(m, f)
+        with pytest.raises(NotBijective):
+            bi_order_compare(f, m)
+
+
 def test_f_type_fractions_all_order_preserving(j3, nonsimple4, cleary2, rho2):
     rng = random.Random(6)
     for cls in (j3, nonsimple4, cleary2, rho2):
@@ -363,6 +378,56 @@ def test_bi_order_without_deviation_raises(j3, monkeypatch):
     monkeypatch.setattr(dynamics, "_first_deviation", lambda h: None)
     with pytest.raises(EppmError, match="deviates"):
         bi_order_compare(fraction_yb_ya(j3), IDENTITY)
+
+
+def first_deviation_by_scan(h, layers: int = 40):
+    """_first_deviation with every family block scanned over `layers`
+    layers."""
+    deviating = [p for p in h.pieces if p.dom != p.ran]
+    for fam in h.families:
+        for block in fam.blocks:
+            for m in range(layers):
+                piece = fam.piece_at(m, block)
+                if piece.dom != piece.ran:
+                    deviating.append(piece)
+                    break
+    if not deviating:
+        return None
+    first = min(deviating, key=lambda p: dynamics._pad_key(p.dom))
+    return first.dom, first.ran
+
+
+def test_first_deviation_matches_layer_scan(j3, nonsimple4):
+    # one-block families written at random, half of them db.1^(mc).1^j.r
+    # -> db.1^j.1^(mc').r, the identity at layer 0 and at every layer when
+    # c = c'; then quotients of order-preserving elements
+    rng = random.Random(11)
+
+    def word():
+        return "".join(rng.choice("01") for _ in range(rng.randint(0, 4)))
+
+    def order_preserving(cls):
+        s = random_tree(rng, rng.randint(1, 4))
+        t = random_tree(rng, leaf_count(s) - 1)
+        return evaluate_fraction(cls, t, identity_perm(leaf_count(s)), s)
+
+    found = []
+    for _ in range(3000):
+        c = rng.randint(1, 3)
+        cp = c if rng.random() < 0.8 else rng.randint(1, 3)
+        db, d, rb, r = word(), word(), word(), word()
+        if rng.random() < 0.5:
+            j = rng.randint(0, 4)
+            rb, d = db + "1" * j, "1" * j + r
+        h = make_eppm(families=[Family(db, rb, c, cp, ((d, r),))])
+        expected = first_deviation_by_scan(h)
+        assert dynamics._first_deviation(h) == expected
+        found.append(expected is not None)
+    assert found.count(True) >= 500 and found.count(False) >= 500
+    for cls in (j3, nonsimple4):
+        for _ in range(20):
+            h = compose(order_preserving(cls), invert(order_preserving(cls)))
+            assert dynamics._first_deviation(h) == first_deviation_by_scan(h)
 
 
 def test_bi_order_yb_ya_less(j3):

@@ -312,6 +312,19 @@ def test_region_subset_and_total(j3):
     assert region_subset(invert(f), IDENTITY)
     assert not region_subset(IDENTITY, invert(f))
     assert region_equal(f, IDENTITY)
+    # partial maps: a cone, a family without its limit, an isolated point
+    cone = make_eppm(pieces=[Piece("01", "1")])
+    assert region_subset(cone, IDENTITY) and region_subset(cone, restrict(f, "0"))
+    assert not region_subset(cone, restrict(f, "00"))
+    assert not is_total(cone) and region_subset(make_eppm(), cone)
+    open_tail = make_eppm(families=[replace(f.families[0], carries_limit=False)])
+    point = ev_periodic("", "1")
+    assert region_subset(open_tail, f) and not region_subset(f, open_tail)
+    assert not is_total(open_tail)
+    assert is_total(make_eppm(open_tail.pieces, open_tail.families, [(point, point)]))
+    isolated = make_eppm(limits=[(point, ev_periodic("0", "1"))])
+    assert region_subset(isolated, f) and not region_subset(isolated, open_tail)
+    assert not region_subset(isolated, make_eppm(pieces=[Piece("0", "0")]))
 
 
 def test_canonicalize_merges_siblings():
@@ -352,6 +365,34 @@ def test_eq_runs():
     assert not eq_runs("1", 1, "0", "", 1, "01")
     assert not eq_runs("", 1, "0", "", 2, "0")
     assert eq_runs("", 2, "00", "", 2, "00")
+
+
+def test_eq_runs_matches_every_layer():
+    # half the cases are p.1^j and 1^j.s written on the two sides, which
+    # eq_runs should accept, then perturbed by a letter half the time
+    rng = random.Random(6)
+
+    def word():
+        return "".join(rng.choice("01") for _ in range(rng.randint(0, 5)))
+
+    answers = []
+    for _ in range(5000):
+        p1, s1, p2, s2 = word(), word(), word(), word()
+        k1 = rng.randint(1, 4)
+        k2 = k1 if rng.random() < 0.8 else rng.randint(1, 4)
+        if rng.random() < 0.5:
+            j = rng.randint(0, 6)
+            p2, s2 = p1 + "1" * j, s1
+            s1 = "1" * j + s1
+            if rng.random() < 0.5:
+                p2 += rng.choice("01")
+                s2 = s2[1:]
+        every = all(
+            p1 + "1" * (m * k1) + s1 == p2 + "1" * (m * k2) + s2 for m in range(40)
+        )
+        assert eq_runs(p1, k1, s1, p2, k2, s2) == every
+        answers.append(every)
+    assert answers.count(True) >= 1000 and answers.count(False) >= 1000
 
 
 def test_expanded_pieces_family(j3):

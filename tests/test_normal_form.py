@@ -2,13 +2,15 @@
 
 `equals_by_region_walk` (tests/region_walk.py) is the equality decision
 fskit used before the normal form, by domain walks and an identity test;
-it never compares normal forms, so it is the reference here.
+it never compares normal forms, so it is the reference here, and its walk
+is the reference for `region_subset` and `is_total`.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -34,11 +36,14 @@ from fskit.eppm import (
     compose,
     equals,
     invert,
+    is_total,
     make_eppm,
+    region_subset,
+    restrict,
 )
 from fskit.forest import leaf_count
 from fskit.sequences import ev_periodic
-from region_walk import equals_by_region_walk
+import region_walk
 
 CLASSES = {
     "j3": vine_class(J3_TEXT),
@@ -87,10 +92,94 @@ def test_equals_matches_region_walk(name):
         q = compose(product(maps[:-2]), compose(maps[-2], maps[-1]))
         swapped = product(maps[:-1] + [random_fraction(cls, rng)])
         for f, g in ((p, q), (inverse_product(maps), IDENTITY), (p, swapped)):
-            walk = equals_by_region_walk(f, g)
+            walk = region_walk.equals_by_region_walk(f, g)
             assert walk == (canonicalize(f) == canonicalize(g)) == equals(f, g)
             answers.append(walk)
     assert answers.count(False) >= 50 and answers.count(True) >= 200
+
+
+def random_word(rng: random.Random) -> str:
+    return "".join(rng.choice("01") for _ in range(rng.randint(0, 4)))
+
+
+def random_map(cls, rng: random.Random):
+    """A product of 1-5 random fractions or a signed word, often made
+    partial: inverted, restricted to a cone, composed with a prefix map on
+    either side, cut down to a cone and one more point, or with a family's
+    limit point taken out; then sometimes written with unrolled layers or a
+    split root."""
+    if rng.random() < 0.8:
+        f = product([random_fraction(cls, rng) for _ in range(rng.randint(1, 5))])
+    else:
+        f = evaluate_word(cls, random_signed_word(rng, rng.randint(1, 6)))
+    cut = rng.randrange(7)
+    if cut == 1:
+        f = invert(f)
+    elif cut == 2:
+        f = restrict(f, random_word(rng))
+    elif cut == 3:
+        f = compose(f, make_eppm(pieces=[Piece(random_word(rng), random_word(rng))]))
+    elif cut == 4:
+        f = compose(make_eppm(pieces=[Piece(random_word(rng), random_word(rng))]), f)
+    elif cut == 5 and f.families:
+        i = rng.randrange(len(f.families))
+        fams = list(f.families)
+        fams[i] = replace(fams[i], carries_limit=False)
+        f = make_eppm(f.pieces, fams, f.limits)
+    elif cut == 6:
+        # often leaves the point as an isolated limit
+        u, point = random_word(rng), ev_periodic(random_word(rng), "1")
+        f = compose(f, make_eppm(pieces=[Piece(u, u)], limits=[(point, point)]))
+    writing = rng.randrange(3)
+    if writing == 1:
+        f = unrolled(f, rng.randint(1, 3))
+    elif writing == 2:
+        f = split_at_root(f)
+    return f
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_region_subset_matches_region_walk(name):
+    # 50 maps, each against the whole space, and 150 pairs: a map against
+    # a random other, or against a restriction of itself, in both orders
+    cls = CLASSES[name]
+    rng = random.Random(f"region subset {name}")
+    maps = [random_map(cls, rng) for _ in range(50)]
+    totals = []
+    for f in maps:
+        total = is_total(f)
+        assert total == region_walk.is_total(f)
+        assert region_subset(f, IDENTITY)
+        totals.append(total)
+    subsets = []
+    for _ in range(150):
+        f = rng.choice(maps)
+        g = rng.choice(maps) if rng.random() < 0.6 else restrict(f, random_word(rng))
+        if rng.random() < 0.5:
+            f, g = g, f
+        subset = region_subset(f, g)
+        assert subset == region_walk.region_subset(f, g)
+        subsets.append(subset)
+    assert 10 <= totals.count(True) <= 40
+    assert 40 <= subsets.count(True) <= 110
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(CLASSES)), seed=st.integers(0, 2**32 - 1))
+def test_region_subset_reads_the_maps_not_their_writing(name, seed):
+    cls = CLASSES[name]
+    rng = random.Random(seed)
+    f, g = random_map(cls, rng), random_map(cls, rng)
+    subset = region_subset(f, g)
+    total = is_total(g)
+    for write in (
+        lambda h: unrolled(h, rng.randint(1, 3)),
+        split_at_root,
+        canonicalize,
+    ):
+        assert region_subset(write(f), g) == subset
+        assert region_subset(f, write(g)) == subset
+        assert is_total(write(g)) == total
 
 
 @pytest.mark.parametrize("name", FRACTION_CLASSES)
