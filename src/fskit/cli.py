@@ -7,7 +7,8 @@ either signed generator words (`A1 B1^-1`) or fractions
 
 Exit codes: 0 success, 1 usage/parse error (also check-simple --max-len < 1,
 plot --depth < 0 and svg plot --width or --height < 1), 2 validation error
-(also classify-element or compare on a map that is not a bijection),
+(also classify-element or compare on a map that is not a bijection, and
+eval at a point outside the map's domain, which prints `undefined at <p>`),
 10 check-simple found a collapse.
 """
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache
+from math import lcm
 from typing import Optional
 
 from . import eppm
@@ -29,6 +30,7 @@ from .eppm import (
     NotOrderPreserving,
     NotTotal,
     Piece,
+    atom_at,
     canonicalize,
     compose,
     eq_runs,
@@ -37,14 +39,10 @@ from .eppm import (
     invert,
     is_total,
     make_eppm,
-    restrict,
 )
 from .forest import Tree, leaf_count, leaf_path
 from .presentation import TwoColourRightVine, UnsupportedClass
 from .sequences import EvPeriodic, ev_periodic
-
-
-GENERATORS = ("A0", "A1", "B0", "B1")
 
 
 @cache
@@ -376,71 +374,53 @@ def singular_points(f: Eppm) -> tuple[EvPeriodic, ...]:
 
 @dataclass(frozen=True)
 class Germ:
-    """Germ of f at a tail-1^inf point.
+    """The germ of f at a tail-1^inf point p = x.1^inf, read off its normal
+    form, so that two germs are equal exactly when they are ==.
 
-    Keeps the underlying map together with the source/target points; two
-    germs are equal iff the maps agree on a neighbourhood of the point,
-    which is decided exactly by re-basing both maps at a *common* depth
-    (so their layer phases stay comparable) and comparing the deep
-    restrictions.
-    """
+    Near p, f acts on the slabs x.1^n.0 periodically in n, with a least
+    period P: a reduced piece x.1^n.0.u -> z.1^a.rest of slab n, with z
+    not ending in 1 and rest not starting with 1, recurs at slab n + P
+    with its run a grown by its family's range step q.  So its entry (n mod P, u, z, q, rest,
+    a.P - q.n) does not depend on n, and the sorted entries with the two
+    points and P determine f on a neighbourhood of p."""
 
     source: EvPeriodic
     target: EvPeriodic
-    depth: int
-    map: Eppm
-
-    def _local_at(self, depth: int) -> Eppm:
-        return _rebase_local(self.map, self.source, self.target, depth)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Germ):
-            return NotImplemented
-        if self.source != other.source or self.target != other.target:
-            return False
-        k = max(self.depth, other.depth)
-        probe = "1" * k
-        return equals(
-            restrict(self._local_at(k), probe), restrict(other._local_at(k), probe)
-        )
-
-    def __hash__(self):
-        return hash((self.source, self.target))
-
-
-def _rebase_local(f: Eppm, p: EvPeriodic, q: EvPeriodic, depth: int) -> Eppm:
-    """f in coordinates where p and q read as (1)^inf: strip the length-
-    `depth` prefix of q from outputs and prepend the one of p to inputs."""
-    w = p.prefix(depth)
-    v = q.prefix(depth)
-    return canonicalize(
-        compose(
-            make_eppm(pieces=[Piece(v, "")]),
-            compose(f, make_eppm(pieces=[Piece("", w)])),
-        )
-    )
+    period: int
+    tail: tuple[tuple[int, str, str, int, str, int], ...]
 
 
 def germ_at(f: Eppm, p: EvPeriodic) -> Germ:
-    """The germ of f at a point with tail (1)^inf."""
+    """The germ of f at a point with tail (1)^inf.
+
+    Near p the normal form acts through the one piece that covers p, the
+    period-1 tail x.1^n.0 -> z.1^(n + shift).0 with z.1^inf the image of
+    p, or else through its families at p, which share one period."""
     if not p.has_tail("1"):
         raise ValueError("germ_at expects a tail-(1)^inf point")
     f = canonicalize(f)
     q = evaluate(f, p)
     if not q.has_tail("1"):
         raise ValueError("image has no tail-(1)^inf form; germ not representable")
-    # past every piece and two layers and the longest block of every family,
-    # then the longest step and both points' prefixes
-    depth = max(
-        [len(piece.dom) for piece in f.pieces]
-        + [
-            len(fam.dom_base) + 2 * fam.dom_step + max(len(d) for d, _ in fam.blocks)
-            for fam in f.families
-        ],
-        default=0,
-    )
-    depth += max([fam.dom_step for fam in f.families] or [1]) + len(p.pre) + len(q.pre) + 2
-    return Germ(p, q, depth, f)
+    x = p.pre
+    atom = atom_at(f, p)
+    if isinstance(atom, Piece):
+        shift = len(atom.ran) - len(atom.dom) + len(x) - len(q.pre)
+        return Germ(p, q, 1, ((0, "", q.pre, 1, "0", shift),))
+    fams = [fam for fam in f.families if fam.dom_base.rstrip("1") == x]
+    period = lcm(*(fam.dom_step for fam in fams))
+    tail = []
+    for fam in fams:
+        z = fam.ran_base.rstrip("1")
+        for d, r in fam.blocks:
+            # d = 1^rho.0.u and r = 1^lead.rest
+            rho = len(d) - len(d.lstrip("1"))
+            n = len(fam.dom_base) - len(x) + rho
+            rest = r.lstrip("1")
+            a = len(fam.ran_base) - len(z) + len(r) - len(rest)
+            q_step = fam.ran_step  # per period: the families share their dom step
+            tail.append((n % period, d[rho + 1 :], z, q_step, rest, a * period - q_step * n))
+    return Germ(p, q, period, tuple(sorted(tail)))
 
 
 # ---------------------------------------------------------------------------

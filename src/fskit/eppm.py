@@ -235,23 +235,34 @@ def restrict(f: Eppm, w: str) -> Eppm:
 # evaluation
 
 
-def evaluate(f: Eppm, p: EvPeriodic) -> EvPeriodic:
+def atom_at(f: Eppm, p: EvPeriodic) -> Optional[Atom]:
+    """What f acts by at p: the piece covering p, written or generated by a
+    family; else the family whose limit p is; else None."""
     for piece in f.pieces:
         if p.starts_with(piece.dom):
-            return p.drop(len(piece.dom)).prepend(piece.ran)
+            return piece
     for fam in f.families:
         if not p.starts_with(fam.dom_base):
             continue
         rest = p.drop(len(fam.dom_base))
         if rest.is_constant("1"):
             if fam.carries_limit:
-                return ev_periodic(fam.ran_base, "1")
+                return fam
             continue
         # p lies in the cone db.1^run.0, whose pieces restrict_family finds
         cone = fam.dom_base + _ones(rest.leading_run("1")) + "0"
         for piece in restrict_family(fam, cone)[0]:
             if p.starts_with(piece.dom):
-                return p.drop(len(piece.dom)).prepend(piece.ran)
+                return piece
+    return None
+
+
+def evaluate(f: Eppm, p: EvPeriodic) -> EvPeriodic:
+    atom = atom_at(f, p)
+    if isinstance(atom, Piece):
+        return p.drop(len(atom.dom)).prepend(atom.ran)
+    if atom is not None:
+        return atom.limit_ran
     for lp, lq in f.limits:
         if p == lp:
             return lq

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from fskit.dynamics import evaluate_fraction
 from fskit.eppm import make_eppm, restrict
 from fskit.forest import LEAF, Tree, graft, leaf_count
 from fskit.presentation import (
@@ -55,6 +56,15 @@ def random_tree(rng: random.Random, carets: int, colours=("a", "b")) -> Tree:
     for _ in range(carets):
         t = graft(t, rng.randint(1, leaf_count(t)), rng.choice(colours))
     return t
+
+
+def random_fraction(cls: TwoColourRightVine, rng: random.Random):
+    """The map of a random fraction [t, perm, s] with s of 1 to 3 carets."""
+    s = random_tree(rng, rng.randint(1, 3))
+    t = random_tree(rng, leaf_count(s) - 1)
+    perm = list(range(1, leaf_count(s) + 1))
+    rng.shuffle(perm)
+    return evaluate_fraction(cls, t, tuple(perm), s)
 
 
 def random_monochrome_tree(rng: random.Random, carets: int, colour="a") -> Tree:

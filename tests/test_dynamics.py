@@ -643,6 +643,7 @@ def test_germ_equality_matches_group_word_problem(j3):
             oracle = classes[v1] == classes[v2]
             assert (germs[v1] == germs[v2]) is oracle, (v1, v2)
             assert equals(maps[v1], maps[v2]) is oracle, (v1, v2)
+    assert len(set(germs.values())) == len(set(classes.values()))
 
 
 def test_germ_at_conjugated_point(j3):

@@ -1,0 +1,104 @@
+"""Germs read off the normal form, against the rebase comparison they
+replaced (tests/germ_rebase.py), and the pruned germ relations at omega
+checked on the dynamics."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from conftest import (
+    CLEARY2_TEXT,
+    J3_TEXT,
+    NONSIMPLE4_TEXT,
+    RHO2_TEXT,
+    presentation,
+    random_fraction,
+    random_signed_word,
+    split_at_root,
+    unrolled,
+    vine_class,
+)
+from fskit.dynamics import caret_map, evaluate_word, germ_at
+from fskit.eppm import IDENTITY, UndefinedAt, canonicalize, compose, invert
+from fskit.presentation import End, germ_presentation
+from fskit.probe import kappa_omega
+from fskit.sequences import parse_point
+from germ_rebase import germs_equal_by_rebase
+
+CLASSES = {
+    "j3": vine_class(J3_TEXT),
+    "nonsimple4": vine_class(NONSIMPLE4_TEXT),
+    "cleary2": vine_class(CLEARY2_TEXT),
+    "rho2": vine_class(RHO2_TEXT),
+}
+POINTS = [parse_point(t) for t in ("(1)", "0(1)", "10(1)", "00(1)", "010(1)")]
+
+
+def corpus(cls, rng: random.Random):
+    """Good-word maps, signed words and fractions, some followed by a map
+    supported in the cone 0 (so their germs at (1) stay, while their normal
+    forms change), and re-writings of a few."""
+    a0 = caret_map(cls, "a", 0)
+    maps = [IDENTITY]
+    words = ["".join(rng.choice("ab") for _ in range(rng.randint(1, 4))) for _ in range(5)]
+    maps += [kappa_omega(cls, w) for w in words]
+    maps += [evaluate_word(cls, random_signed_word(rng, rng.randint(1, 4))) for _ in range(5)]
+    maps += [random_fraction(cls, rng) for _ in range(4)]
+    behind = [
+        compose(a0, compose(h, invert(a0)))
+        for h in (random_fraction(cls, rng), caret_map(cls, "b", 1))
+    ]
+    maps += [compose(f, h) for f in maps[:6] for h in behind]
+    maps += [rewrite(f) for f in maps[:4] for rewrite in (lambda f: unrolled(f, 2), split_at_root)]
+    return maps
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_germ_equality_agrees_with_rebase(seed):
+    rng = random.Random(seed)
+    equal_forms_differ = unequal = 0
+    for cls in CLASSES.values():
+        maps = corpus(cls, rng)
+        for p in POINTS:
+            germs = []
+            for f in maps:
+                try:
+                    germs.append((germ_at(f, p), f))
+                except UndefinedAt:
+                    pass
+            for i, (g1, f1) in enumerate(germs):
+                for g2, f2 in germs[:i]:
+                    if g1.target != g2.target:
+                        assert g1 != g2
+                        continue
+                    same = g1 == g2
+                    assert same is germs_equal_by_rebase(f1, f2, p), (p, str(f1), str(f2))
+                    equal_forms_differ += same and canonicalize(f1) != canonicalize(f2)
+                    unequal += not same
+    assert equal_forms_differ and unequal
+
+
+# the pruned relation a^p = b^q at omega, and whether the germ group at
+# omega is abelian, for each presentation
+OMEGA_GERMS = {
+    "j3": (J3_TEXT, 2, 3, False),
+    "nonsimple4": (NONSIMPLE4_TEXT, 3, 4, False),
+    "cleary2": (CLEARY2_TEXT, 1, 2, True),
+    "rho2": (RHO2_TEXT, 2, 2, True),
+}
+
+
+@pytest.mark.parametrize("name", list(OMEGA_GERMS))
+def test_pruned_relation_holds_on_germs_at_omega(name):
+    text, p, q, abelian = OMEGA_GERMS[name]
+    cls = CLASSES[name]
+    out = germ_presentation(presentation(text), End.LAST)
+    assert out.relators == ((("a",) * p, ("b",) * q),)
+    omega = parse_point("(1)")
+    assert germ_at(kappa_omega(cls, "a"), omega) != germ_at(IDENTITY, omega)
+    assert germ_at(kappa_omega(cls, "a" * p), omega) == germ_at(kappa_omega(cls, "b" * q), omega)
+    ab = germ_at(kappa_omega(cls, "ab"), omega)
+    ba = germ_at(kappa_omega(cls, "ba"), omega)
+    assert (ab == ba) is abelian

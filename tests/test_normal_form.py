@@ -21,13 +21,13 @@ from conftest import (
     J3_TEXT,
     NONSIMPLE4_TEXT,
     RHO2_TEXT,
+    random_fraction,
     random_signed_word,
-    random_tree,
     split_at_root,
     unrolled,
     vine_class,
 )
-from fskit.dynamics import evaluate_fraction, evaluate_word, parse_element
+from fskit.dynamics import evaluate_word, parse_element
 from fskit.eppm import (
     IDENTITY,
     Family,
@@ -41,7 +41,6 @@ from fskit.eppm import (
     region_subset,
     restrict,
 )
-from fskit.forest import leaf_count
 from fskit.sequences import ev_periodic
 import region_walk
 
@@ -53,14 +52,6 @@ CLASSES = {
 }
 # the presentations of the algebra workload
 FRACTION_CLASSES = ("cleary2", "j3", "nonsimple4")
-
-
-def random_fraction(cls, rng: random.Random):
-    s = random_tree(rng, rng.randint(1, 3))
-    t = random_tree(rng, leaf_count(s) - 1)
-    perm = list(range(1, leaf_count(s) + 1))
-    rng.shuffle(perm)
-    return evaluate_fraction(cls, t, tuple(perm), s)
 
 
 def product(maps):
