@@ -31,6 +31,7 @@ import time
 from pathlib import Path
 
 import stream_oracle
+from certificate import certificate_check
 from conftest import (
     CLEARY2_TEXT,
     J3_TEXT,
@@ -70,7 +71,6 @@ from fskit.presentation import (
     germ_presentation,
     parse_presentation,
 )
-from fskit.probe import certificate_check
 from fskit.sequences import ev_periodic, parse_point, tail_equivalent
 from region_walk import is_identity_on_domain, region_equal
 

@@ -1,19 +1,22 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from fskit.dynamics import caret_map, is_power_of_a1
 from fskit.eppm import Piece, compose, equals, make_eppm
 from fskit.presentation import enumerate_good_words, good_word_check
-from fskit.probe import (
-    WrongShape,
-    certificate_check,
-    good_word_images,
-    kappa_omega,
-    probe,
-)
+from fskit.probe import good_word_images, kappa_omega, probe
 
-from conftest import vine_class
+from certificate import WrongShape, certificate_check
+from conftest import (
+    CLEARY2_TEXT,
+    J3_TEXT,
+    NONSIMPLE4_TEXT,
+    RHO2_TEXT,
+    vine_class,
+)
+from probe_reference import every_word_probe
 
 
 def test_kappa_single_letters(j3):
@@ -80,12 +83,59 @@ def test_probe_vine_pair(rho2):
 
 @pytest.mark.parametrize("name, max_len", [("nonsimple4", 9), ("j3", 10)])
 def test_prefix_shared_images_match_fold(name, max_len, request):
-    # each map is extended from its prefix's, and equals the per-word fold
+    # each map is extended from its prefix's, and equals the per-word fold;
+    # exactly the a-prefixed words come without a map
     cls = request.getfixturevalue(name)
     images = list(good_word_images(cls, max_len))
     assert [w for w, _ in images] == list(enumerate_good_words(cls, max_len))
     for word, image in images:
-        assert image == kappa_omega(cls, word), word
+        assert (image is None) == word.startswith(cls.colour_a), word
+        if image is not None:
+            assert image == kappa_omega(cls, word), word
+
+
+@pytest.mark.parametrize("name", ["j3", "nonsimple4"])
+def test_a_prefixed_word_is_a1_power_after_its_stripped_word(name, request):
+    # the lemma behind deciding a^i.w' by w': w' is listed first, and
+    # kappa(a^i.w') = A1^i kappa(w') on normal forms
+    cls = request.getfixturevalue(name)
+    a = cls.colour_a
+    a1 = caret_map(cls, a, 1)
+    words = list(enumerate_good_words(cls, 9))
+    position = {w: k for k, w in enumerate(words)}
+    prefixed = [w for w in words if w.startswith(a)]
+    assert prefixed
+    for word in prefixed:
+        stripped = word.lstrip(a)
+        assert position[stripped] < position[word], word
+        expected = kappa_omega(cls, stripped)
+        for _ in range(len(word) - len(stripped)):
+            expected = compose(a1, expected)
+        assert kappa_omega(cls, word) == expected, word
+
+
+@pytest.mark.parametrize(
+    "text, max_len, outcome",
+    [
+        (J3_TEXT, 10, "NoCollapseUpTo"),
+        (NONSIMPLE4_TEXT, 8, "NoCollapseUpTo"),
+        (NONSIMPLE4_TEXT, 10, "CollapseFound"),
+        (CLEARY2_TEXT, 12, "NoCollapseUpTo"),
+        (RHO2_TEXT, 4, "CollapseFound"),
+        ("colors b a\nrel b1 b1 b3 b4 = a1 a2 a3 a4\n", 10, "CollapseFound"),
+        ("colors a b\nrel a1 a1 a2 a4 = b1 b2 b3 b4\n", 9, "NoCollapseUpTo"),
+        ("colors a b\nrel a1 a1 a3 a4 a5 = b1 b2 b3 b4 b5\n", 9, "CollapseFound"),
+    ],
+    ids=["j3", "nonsimple4-8", "nonsimple4-10", "cleary2", "rho2",
+         "nonsimple4-relabelled", "j4", "nonsimple5"],
+)
+def test_probe_matches_every_word_reference(text, max_len, outcome):
+    # deciding a^i.w' by w' gives the report of mapping every word
+    cls = vine_class(text)
+    report = probe(cls, max_len)
+    assert report.outcome == outcome
+    reference = every_word_probe(cls, max_len)
+    assert replace(report, seconds=0.0) == reference
 
 
 def test_probe_follows_colour_order():
