@@ -20,7 +20,6 @@ from functools import cache
 from math import lcm
 from typing import Optional
 
-from . import eppm
 from .eppm import (
     Eppm,
     EppmError,
@@ -40,7 +39,7 @@ from .eppm import (
     is_total,
     make_eppm,
 )
-from .forest import Tree, leaf_count, leaf_path
+from .forest import Tree, identity_perm, is_permutation, leaf_count, leaf_path
 from .presentation import TwoColourRightVine, UnsupportedClass
 from .sequences import EvPeriodic, ev_periodic
 
@@ -125,7 +124,7 @@ def evaluate_fraction(
     n = leaf_count(s)
     if leaf_count(t) != n:
         raise NotBijective(f"fraction shape mismatch: {leaf_count(t)} vs {n} leaves")
-    if sorted(perm) != list(range(1, n + 1)):
+    if len(perm) != n or not is_permutation(perm):
         raise NotBijective(f"perm {perm} is not a permutation of 1..{n}")
     pieces: list[Piece] = []
     fams = []
@@ -154,7 +153,7 @@ def parse_fraction(text: str) -> tuple[Tree, tuple[int, ...], Tree]:
     s = build_tree(parse_caret_word(m.group(3)))
     perm_text = m.group(2).strip()
     if perm_text == "id":
-        perm = tuple(range(1, leaf_count(s) + 1))
+        perm = identity_perm(leaf_count(s))
     else:
         perm = tuple(int(x) for x in perm_text.split())
     return t, perm, s
@@ -174,19 +173,13 @@ def parse_element(cls: TwoColourRightVine, text: str) -> Eppm:
 
 
 def is_power_of_a1(f: Eppm) -> Optional[int]:
-    """j >= 0 with f = A1^j, else None; decided by probing (0)^inf and
-    confirming with exact equality."""
-    o = ev_periodic("", "0")
-    try:
-        image = evaluate(f, o)
-    except eppm.UndefinedAt:
-        return None
-    if image.per != "0" or any(ch != "1" for ch in image.pre):
-        return None
-    j = len(image.pre)
-    if equals(f, make_eppm(pieces=[Piece("", "1" * j)])):
-        return j
-    return None
+    """j >= 0 with f = A1^j, else None.  A1^j is the single piece e -> 1^j,
+    with no families and no limits, and that is its own normal form; equal
+    maps have equal normal forms, so f = A1^j exactly when canonicalize(f)
+    is that piece."""
+    normal = canonicalize(f)
+    j = len(normal.pieces[0].ran) if normal.pieces else 0
+    return j if normal == make_eppm(pieces=[Piece("", "1" * j)]) else None
 
 
 # ---------------------------------------------------------------------------

@@ -268,53 +268,43 @@ def germ_presentation(p: SkeinPresentation, end: End) -> GroupPresentationOut:
 # good words
 
 
-def good_word_check(cls: TwoColourRightVine, w: str) -> bool:
-    """A non-empty word a^i.w' is good when w' is empty (and i > 0) or w'
-    starts with b and avoids a^{R_x} and b^M as subwords."""
+def good_b_words(cls: TwoColourRightVine, max_len: int) -> Iterator[list[str]]:
+    """The good words that start with b, one list per length 1, 2, ...,
+    max_len, each in lex order (letters ordered a < b by the colour order
+    of the presentation).
+
+    A good word a^i.w' has w' empty or starting with b and avoiding a^{R_x}
+    and b^M.  Each word here is one of the previous length plus a letter,
+    kept unless it ends in a^{R_x} or b^M: its parent avoids both, so that
+    is the whole test.  A length with no such word ends the walk, as every
+    longer one would extend one of them.  Each list is built only when
+    asked for."""
     a, b = cls.colour_a, cls.colour_b
-    if not w or any(ch not in (a, b) for ch in w):
-        return False
-    i = 0
-    while i < len(w) and w[i] == a:
-        i += 1
-    rest = w[i:]
-    if not rest:
-        return True
-    if rest[0] != b:  # cannot happen once the a-prefix is stripped
-        return False
-    return a * cls.R_x not in rest and b * cls.M not in rest
-
-
-def is_trivial_good_word(cls: TwoColourRightVine, w: str) -> bool:
-    return bool(w) and set(w) == {cls.colour_a}
+    forbidden = (a * cls.R_x, b * cls.M)
+    level = [b]
+    for _ in range(max_len):
+        level = [w for w in level if not w.endswith(forbidden)]
+        if not level:
+            return
+        yield level
+        level = [w + ch for w in level for ch in (a, b)]
 
 
 def enumerate_good_words(cls: TwoColourRightVine, max_len: int) -> Iterator[str]:
     """Non-trivial good words of length <= max_len, in length-then-lex order
     (letters ordered a < b by the colour order of the presentation).
 
-    Words a^i.w' with i > 0 are listed too, after w' itself; as
-    kappa(a^i.w') = A1^i kappa(w'), the collapse probe (fskit.probe.probe)
-    reports the a-stripped form w' of any a-prefixed collapse."""
-    a, b = cls.colour_a, cls.colour_b
-
-    def extend(prefix: str, length: int) -> Iterator[str]:
-        if len(prefix) == length:
-            yield prefix
-            return
-        for ch in (a, b):
-            cand = prefix + ch
-            # prune: the candidate must still be extendable to a good word,
-            # i.e. its non-prefix part must avoid the forbidden subwords
-            i = 0
-            while i < len(cand) and cand[i] == a:
-                i += 1
-            rest = cand[i:]
-            if a * cls.R_x in rest or b * cls.M in rest:
-                continue
-            yield from extend(cand, length)
-
+    At each length the words a^i.w' with i > 0 come first, one for each
+    shorter b-word w' of good_b_words, longest a-prefix first; then the
+    b-words of that length.  As kappa(a^i.w') = A1^i kappa(w'), the
+    collapse probe (fskit.probe.probe) tests only the b-words and counts
+    the others."""
+    a = cls.colour_a
+    levels = good_b_words(cls, max_len)
+    shorter: list[str] = []
     for length in range(1, max_len + 1):
-        for w in extend("", length):
-            if good_word_check(cls, w) and not is_trivial_good_word(cls, w):
-                yield w
+        for w in shorter:
+            yield a * (length - len(w)) + w
+        level = next(levels, [])
+        yield from level
+        shorter += level

@@ -15,11 +15,11 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .dynamics import caret_map, compose, is_power_of_a1
 from .eppm import Eppm, IDENTITY
-from .presentation import TwoColourRightVine, enumerate_good_words
+from .presentation import TwoColourRightVine, good_b_words
 
 
 def kappa_omega(cls: TwoColourRightVine, word: str, start: Eppm = IDENTITY) -> Eppm:
@@ -60,66 +60,51 @@ class ProbeReport:
         return json.dumps(data, sort_keys=True)
 
 
-def good_word_images(
-    cls: TwoColourRightVine, max_len: int
-) -> Iterator[tuple[str, Optional[Eppm]]]:
-    """(w, kappa_omega(cls, w)) for the non-trivial good words w of length
-    <= max_len that start with b, and (w, None) for the words w = a^i.w'
-    with i > 0, all in enumeration order.
-
-    No map is built for a^i.w': its image is A1^i kappa_omega(w'), and A1
-    is injective, so it collapses exactly when w' does, and w' is shorter
-    and listed before it.  Each map of a word starting with b is its
-    prefix's map extended by one letter, the same Eppm as the per-word
-    fold.  That prefix is empty or starts with b and is one letter shorter,
-    so only the maps of the previous length are kept."""
-    a = cls.colour_a
-    # maps of the b-words of the current and the previous length
-    level: dict[str, Eppm] = {"": IDENTITY}
-    prev: dict[str, Eppm] = {}
-    length = 0
-    # the whole enumeration first, so that a trace times it apart from the maps
-    words = list(enumerate_good_words(cls, max_len))
-    for word in words:
-        if word[0] == a:
-            yield word, None
-            continue
-        if len(word) > length:
-            length = len(word)
-            prev, level = level, {}
-        image = kappa_omega(cls, word[-1], prev[word[:-1]])
-        level[word] = image
-        yield word, image
-
-
 def probe(
     cls: TwoColourRightVine,
     max_len: int,
     presentation_name: str = "",
 ) -> ProbeReport:
     """Search non-trivial good words of length <= max_len for a collapse
-    kappa_omega(w) = A1^j, and report the first in enumeration order.
+    kappa_omega(w) = A1^j, and report the first in enumeration order
+    (length-then-lex, as enumerate_good_words lists them).
 
-    Since kappa_omega(a^i.w') = A1^i kappa_omega(w') and A1 is injective, a
-    collapse of a^i.w' to A1^j is a collapse of w' to A1^(j-i), and w' is a
-    shorter non-trivial good word.  So the first reported collapse is the
-    a-stripped form of any a-prefixed collapse: for a1 a1 a3 a4 = b1 b2 b3 b4
-    it is babababab with j = 8, not ababababab with j = 9.  An a-prefixed
-    word is therefore counted in `tested` and decided by its a-stripped
-    word, which was tested before it, with no map built."""
+    Only the b-words of good_b_words get a map: each is its prefix's map,
+    kept from the previous length, extended by one letter.  A word a^i.w'
+    with i > 0 has image A1^i kappa_omega(w'), and A1 is injective, so it
+    collapses exactly when w' does, and w' is shorter and tested earlier.
+    Such words come first at each length, one per shorter b-word, so they
+    are counted in `tested` but not listed.  The first reported collapse is
+    therefore the a-stripped form of any a-prefixed collapse: for
+    a1 a1 a3 a4 = b1 b2 b3 b4 it is babababab with j = 8, not ababababab
+    with j = 9.  The search stops at the first collapse, so a larger
+    max_len costs nothing past its length."""
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
     start = time.monotonic()
     tested = 0
+    shorter = 0  # b-words shorter than the current length
+    images: dict[str, Eppm] = {"": IDENTITY}  # maps of the previous length
     found: Optional[tuple[str, int]] = None
-    for word, image in good_word_images(cls, max_len):
-        tested += 1
-        if image is None:  # decided by its a-stripped word, tested earlier
-            continue
-        j = is_power_of_a1(image)
-        if j is not None:
-            found = (word, j)
+    length = 0
+    for length, words in enumerate(good_b_words(cls, max_len), 1):
+        tested += shorter  # the words a^i.w' of this length
+        level: dict[str, Eppm] = {}
+        for word in words:
+            tested += 1
+            image = kappa_omega(cls, word[-1], images[word[:-1]])
+            j = is_power_of_a1(image)
+            if j is not None:
+                found = (word, j)
+                break
+            level[word] = image
+        if found:
             break
+        shorter += len(words)
+        images = level
+    else:
+        # the lengths past the last b-word hold only words a^i.w'
+        tested += (max_len - length) * shorter
 
     seconds = time.monotonic() - start
     outcome = "CollapseFound" if found else "NoCollapseUpTo"

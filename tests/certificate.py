@@ -3,13 +3,11 @@ presentations with R_x = 2.  Test-only: the probe decides every word
 exactly, and the tests use this as an independent cross-check."""
 
 from fskit.eppm import evaluate
-from fskit.presentation import (
-    TwoColourRightVine,
-    good_word_check,
-    is_trivial_good_word,
-)
+from fskit.presentation import TwoColourRightVine
 from fskit.probe import kappa_omega
 from fskit.sequences import ev_periodic
+
+from good_word_reference import good_word_check, is_trivial_good_word
 
 
 class WrongShape(Exception):

@@ -26,11 +26,13 @@ from fskit.eppm import (
     NotBijective,
     Piece,
     UndefinedAt,
+    canonicalize,
     compose,
     equals,
     evaluate,
     invert,
     make_eppm,
+    restrict,
 )
 from fskit.forest import build_tree, identity_perm, leaf_count, parse_caret_word
 from fskit.sequences import parse_point, tail_equivalent
@@ -198,6 +200,20 @@ def test_is_power_of_a1(j3, nonsimple4):
     for _ in range(5):
         acc = compose(acc, phi)
     assert is_power_of_a1(acc) == 9
+    # A1 cut into two pieces is still A1
+    split = make_eppm(pieces=[Piece("0", "10"), Piece("1", "11")])
+    assert is_power_of_a1(split) == 1
+    # A1^2 on the cone 0 alone sends (0) to 11.(0), but is partial
+    assert is_power_of_a1(restrict(compose(a1, a1), "0")) is None
+    # fixes (0), but is not the identity
+    g = parse_element(j3, "[a1 a1 | id | a1 a2]")
+    assert evaluate(g, parse_point("(0)")) == parse_point("(0)")
+    assert is_power_of_a1(g) is None
+    # the test reads the normal form, and A1^j is its own
+    for j in range(12):
+        power = make_eppm(pieces=[Piece("", "1" * j)])
+        assert canonicalize(power) == power
+        assert is_power_of_a1(power) == j
 
 
 # ---------------------------------------------------------------------------

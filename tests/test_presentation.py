@@ -13,13 +13,13 @@ from fskit.presentation import (
     classify,
     enumerate_good_words,
     germ_presentation,
-    good_word_check,
-    is_trivial_good_word,
+    good_b_words,
     parse_presentation,
     validate,
 )
 
 from conftest import presentation, vine_class, J3_TEXT, NONSIMPLE4_TEXT, CLEARY2_TEXT
+from good_word_reference import good_word_check, is_trivial_good_word
 
 
 def g_class_text(n: int) -> str:
@@ -178,12 +178,44 @@ def brute_force_good(cls, length):
     return sorted(out)
 
 
-def test_enumerate_matches_brute_force(j3, nonsimple4):
-    for cls in (j3, nonsimple4):
+def test_enumerate_matches_brute_force(j3, nonsimple4, cleary2, rho2):
+    relabelled = vine_class("colors b a\nrel b1 b1 b3 b4 = a1 a2 a3 a4\n")
+    # M = 1 forbids b itself, so there is no good word at all
+    recoloured = vine_class("colors a b\nrel a1 = b1\n")
+    assert list(enumerate_good_words(recoloured, 6)) == []
+    for cls in (j3, nonsimple4, cleary2, rho2, relabelled, recoloured):
         for length in range(1, 7):
             expected = brute_force_good(cls, length)
             got = sorted(w for w in enumerate_good_words(cls, 6) if len(w) == length)
             assert got == expected
+        # listed in length-then-lex order, with colour_a before colour_b
+        words = list(enumerate_good_words(cls, 6))
+        rank = str.maketrans(cls.colour_a + cls.colour_b, "01")
+        assert words == sorted(words, key=lambda w: (len(w), w.translate(rank)))
+
+
+def test_good_b_words_are_lazy(j3, nonsimple4):
+    for cls in (j3, nonsimple4):
+        assert next(good_b_words(cls, 10**9)) == ["b"]
+
+
+def test_good_b_words_match_brute_force(j3, nonsimple4, cleary2, rho2):
+    # cleary2 has R_x = 1 and M = 2, so its only b-word is b
+    for cls in (j3, nonsimple4, cleary2, rho2):
+        levels = list(good_b_words(cls, 8))
+        expected = [
+            [w for w in brute_force_good(cls, length) if w[0] == cls.colour_b]
+            for length in range(1, 9)
+        ]
+        assert levels == expected[: len(levels)]
+        assert not any(expected[len(levels) :])
+
+
+def test_good_b_words_end_when_a_length_has_none():
+    # R_x = 1 forbids a after the first b, and M = 3 forbids bbb
+    cls = vine_class("colors a b\nrel a1 a1 a1 = b1 b2 b3\n")
+    assert list(good_b_words(cls, 10**9)) == [["b"], ["bb"]]
+    assert list(good_b_words(vine_class("colors a b\nrel a1 = b1\n"), 10**9)) == []
 
 
 def test_good_words_prefix_closed(j3):

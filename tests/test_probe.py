@@ -1,14 +1,16 @@
 import json
+import time
 from dataclasses import replace
 
 import pytest
 
 from fskit.dynamics import caret_map, is_power_of_a1
-from fskit.eppm import Piece, compose, equals, make_eppm
-from fskit.presentation import enumerate_good_words, good_word_check
-from fskit.probe import good_word_images, kappa_omega, probe
+from fskit.eppm import IDENTITY, Piece, compose, equals, make_eppm
+from fskit.presentation import enumerate_good_words, good_b_words
+from fskit.probe import kappa_omega, probe
 
 from certificate import WrongShape, certificate_check
+from good_word_reference import good_word_check
 from conftest import (
     CLEARY2_TEXT,
     J3_TEXT,
@@ -83,15 +85,16 @@ def test_probe_vine_pair(rho2):
 
 @pytest.mark.parametrize("name, max_len", [("nonsimple4", 9), ("j3", 10)])
 def test_prefix_shared_images_match_fold(name, max_len, request):
-    # each map is extended from its prefix's, and equals the per-word fold;
-    # exactly the a-prefixed words come without a map
+    # each b-word is one of the previous length plus a letter, and extending
+    # that word's map by the letter gives the per-word fold
     cls = request.getfixturevalue(name)
-    images = list(good_word_images(cls, max_len))
-    assert [w for w, _ in images] == list(enumerate_good_words(cls, max_len))
-    for word, image in images:
-        assert (image is None) == word.startswith(cls.colour_a), word
-        if image is not None:
-            assert image == kappa_omega(cls, word), word
+    previous = {""}
+    for words in good_b_words(cls, max_len):
+        for word in words:
+            assert word[:-1] in previous, word
+            prefix = kappa_omega(cls, word[:-1]) if len(word) > 1 else IDENTITY
+            assert kappa_omega(cls, word[-1], prefix) == kappa_omega(cls, word), word
+        previous = set(words)
 
 
 @pytest.mark.parametrize("name", ["j3", "nonsimple4"])
@@ -125,9 +128,11 @@ def test_a_prefixed_word_is_a1_power_after_its_stripped_word(name, request):
         ("colors b a\nrel b1 b1 b3 b4 = a1 a2 a3 a4\n", 10, "CollapseFound"),
         ("colors a b\nrel a1 a1 a2 a4 = b1 b2 b3 b4\n", 9, "NoCollapseUpTo"),
         ("colors a b\nrel a1 a1 a3 a4 a5 = b1 b2 b3 b4 b5\n", 9, "CollapseFound"),
+        (NONSIMPLE4_TEXT, 14, "CollapseFound"),
+        ("colors a b\nrel a1 = b1\n", 5, "NoCollapseUpTo"),
     ],
     ids=["j3", "nonsimple4-8", "nonsimple4-10", "cleary2", "rho2",
-         "nonsimple4-relabelled", "j4", "nonsimple5"],
+         "nonsimple4-relabelled", "j4", "nonsimple5", "nonsimple4-14", "recoloured"],
 )
 def test_probe_matches_every_word_reference(text, max_len, outcome):
     # deciding a^i.w' by w' gives the report of mapping every word
@@ -136,6 +141,17 @@ def test_probe_matches_every_word_reference(text, max_len, outcome):
     assert report.outcome == outcome
     reference = every_word_probe(cls, max_len)
     assert replace(report, seconds=0.0) == reference
+
+
+def test_deep_probe_stops_at_the_collapse(nonsimple4):
+    # the walk ends at the collapse of length 9, so length 22 costs no more
+    start = time.monotonic()
+    deep = probe(nonsimple4, 22, presentation_name="nonsimple4")
+    seconds = time.monotonic() - start
+    shallow = probe(nonsimple4, 10, presentation_name="nonsimple4")
+    assert (deep.collapse_word, deep.collapse_power, deep.tested) == ("babababab", 8, 462)
+    assert replace(deep, max_len=10, seconds=0.0) == replace(shallow, seconds=0.0)
+    assert seconds < 2.0
 
 
 def test_probe_follows_colour_order():
