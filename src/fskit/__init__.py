@@ -4,14 +4,10 @@ from .forest import (
     End,
     Tree,
     build_tree,
-    compose as compose_forest,
-    leaf_address,
     leaf_path,
     parse_caret_word,
     prune_word,
     right_vine,
-    left_vine,
-    vine_decomposition,
 )
 from .presentation import (
     AbelianInvariants,
@@ -24,20 +20,16 @@ from .presentation import (
     validate,
 )
 from .eppm import Eppm, canonicalize, compose, equals, evaluate, invert
-from .sequences import EvPeriodic, ev_periodic, parse_point, tail_equivalent
+from .sequences import EvPeriodic, ev_periodic, parse_point
 
 __all__ = [
     "End",
     "Tree",
     "build_tree",
-    "compose_forest",
-    "leaf_address",
     "leaf_path",
     "parse_caret_word",
     "prune_word",
     "right_vine",
-    "left_vine",
-    "vine_decomposition",
     "AbelianInvariants",
     "SkeinPresentation",
     "TwoColourRightVine",
@@ -55,7 +47,6 @@ __all__ = [
     "EvPeriodic",
     "ev_periodic",
     "parse_point",
-    "tail_equivalent",
 ]
 
 __version__ = "0.1.0"

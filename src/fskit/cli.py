@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import dynamics, plrender, probe as probe_mod
-from .eppm import EppmError, UndefinedAt
+from .eppm import EppmError, UndefinedAt, canonicalize, equals, evaluate
 from .forest import End, ForestError
 from .presentation import (
     GENERAL,
@@ -110,7 +110,7 @@ def cmd_eval(args) -> int:
     f = _element(p, args.element)
     point = parse_point(args.point)
     try:
-        image = dynamics.evaluate(f, point)
+        image = evaluate(f, point)
     except UndefinedAt:
         print(f"undefined at {point}")
         return EXIT_INVALID
@@ -129,16 +129,12 @@ def cmd_equal(args) -> int:
     e1, e2 = _two_elements(args)
     f = _element(p, e1)
     g = _element(p, e2)
-    from .eppm import equals
-
     print("equal" if equals(f, g) else "different")
     return EXIT_OK
 
 
 def cmd_canon(args) -> int:
     p = _load(args.presentation)
-    from .eppm import canonicalize
-
     print(str(canonicalize(_element(p, args.element))))
     return EXIT_OK
 

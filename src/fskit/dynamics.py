@@ -29,6 +29,8 @@ from .eppm import (
     NotOrderPreserving,
     NotTotal,
     Piece,
+    _run,
+    _slab_of,
     atom_at,
     canonicalize,
     compose,
@@ -97,6 +99,15 @@ def parse_signed_word(text: str) -> SignedWord:
     return tuple(word)
 
 
+def _total_form(f: Eppm, error: EppmError) -> Eppm:
+    """The normal form of f.  Raises `error` unless f is total, and, when
+    `error` is a NotBijective, unless its inverse is total too."""
+    f = canonicalize(f)
+    if not is_total(f) or isinstance(error, NotBijective) and not is_total(invert(f)):
+        raise error
+    return f
+
+
 # ---------------------------------------------------------------------------
 # fractions [t, pi, s]
 
@@ -134,10 +145,10 @@ def evaluate_fraction(
         pieces.extend(branch.pieces)
         fams.extend(branch.families)
         limits.extend(branch.limits)
-    out = canonicalize(make_eppm(pieces, fams, limits))
-    if not is_total(out) or not is_total(invert(out)):
-        raise NotBijective("fraction did not evaluate to a total bijection")
-    return out
+    return _total_form(
+        make_eppm(pieces, fams, limits),
+        NotBijective("fraction did not evaluate to a total bijection"),
+    )
 
 
 _FRACTION_RE = re.compile(r"^\[([^|\]]*)\|([^|\]]*)\|([^|\]]*)\]$")
@@ -210,9 +221,7 @@ def _pad_key(word: str):
 def _ran_keys(f: Eppm, test: str) -> Optional[list[tuple[int, ...]]]:
     """Keys of the least range cone of each atom of the total map f, in
     domain order; None if some family's own ranges are out of order."""
-    f = canonicalize(f)
-    if not is_total(f):
-        raise NotTotal(f"{test} requires a total map")
+    f = _total_form(f, NotTotal(f"{test} requires a total map"))
     if not all(_family_ran_sorted(fam) for fam in f.families):
         return None
     entries = [(p.dom, p.ran) for p in f.pieces]
@@ -236,15 +245,12 @@ def is_cyclic_order_preserving(f: Eppm) -> bool:
     return descents <= 1
 
 
-def _require_bijection(f: Eppm, test: str) -> None:
-    if not is_total(f) or not is_total(invert(f)):
-        raise NotBijective(f"{test} requires a bijection of the Cantor space")
-
-
 def classify_element(f: Eppm) -> str:
     """'F', 'T' or 'V': the least of the three groups holding the bijection
     f."""
-    _require_bijection(f, "F/T/V membership")
+    f = _total_form(
+        f, NotBijective("F/T/V membership requires a bijection of the Cantor space")
+    )
     if is_order_preserving(f):
         return "F"
     if is_cyclic_order_preserving(f):
@@ -296,9 +302,7 @@ def _piece_fixed_point(dom: str, ran: str) -> Optional[EvPeriodic]:
 
 
 def support(f: Eppm) -> Support:
-    f = canonicalize(f)
-    if not is_total(f):
-        raise NotTotal("support requires a total map")
+    f = _total_form(f, NotTotal("support requires a total map"))
     fixed_cones: list[str] = []
     fixed_points: list[EvPeriodic] = []
     ladders: list[FixedLadder] = []
@@ -324,18 +328,16 @@ def support(f: Eppm) -> Support:
         moved.append(fam.dom_base)
         if fam.carries_limit and fam.limit_dom == fam.limit_ran:
             fixed_points.append(fam.limit_dom)
-        for d, r in fam.blocks:
-            dom0, ran0 = fam.dom_base + d, fam.ran_base + r
-            dom1 = fam.dom_base + "1" * fam.dom_step + d
-            ran1 = fam.ran_base + "1" * fam.ran_step + r
-            if ran0.startswith(dom0) and ran1.startswith(dom1):
-                w0, w1 = ran0[len(dom0) :], ran1[len(dom1) :]
-                if w0 == w1 and w0:
-                    ladders.append(FixedLadder(fam.dom_base, fam.dom_step, d, w0))
-            elif dom0.startswith(ran0) and dom1.startswith(ran1):
-                w0, w1 = dom0[len(ran0) :], dom1[len(ran1) :]
-                if w0 == w1 and w0:
-                    ladders.append(FixedLadder(fam.dom_base, fam.dom_step, d, w0))
+        for block in fam.blocks:
+            p0, p1 = fam.piece_at(0, block), fam.piece_at(1, block)
+            if p0.ran.startswith(p0.dom) and p1.ran.startswith(p1.dom):
+                w0, w1 = p0.ran[len(p0.dom) :], p1.ran[len(p1.dom) :]
+            elif p0.dom.startswith(p0.ran) and p1.dom.startswith(p1.ran):
+                w0, w1 = p0.dom[len(p0.ran) :], p1.dom[len(p1.ran) :]
+            else:
+                continue
+            if w0 == w1 and w0:
+                ladders.append(FixedLadder(fam.dom_base, fam.dom_step, block[0], w0))
 
     for p, q in f.limits:
         if p == q:
@@ -358,9 +360,7 @@ def support(f: Eppm) -> Support:
 def singular_points(f: Eppm) -> tuple[EvPeriodic, ...]:
     """Tail-1^inf points where f is not locally a single prefix piece:
     the limit points of the non-collapsible families of the canonical form."""
-    f = canonicalize(f)
-    if not is_total(f):
-        raise NotTotal("singular points are defined for total maps")
+    f = _total_form(f, NotTotal("singular points are defined for total maps"))
     pts = {fam.limit_dom for fam in f.families}
     return tuple(sorted(pts, key=lambda e: (e.pre, e.per)))
 
@@ -404,15 +404,11 @@ def germ_at(f: Eppm, p: EvPeriodic) -> Germ:
     period = lcm(*(fam.dom_step for fam in fams))
     tail = []
     for fam in fams:
-        z = fam.ran_base.rstrip("1")
         for d, r in fam.blocks:
-            # d = 1^rho.0.u and r = 1^lead.rest
-            rho = len(d) - len(d.lstrip("1"))
-            n = len(fam.dom_base) - len(x) + rho
-            rest = r.lstrip("1")
-            a = len(fam.ran_base) - len(z) + len(r) - len(rest)
-            q_step = fam.ran_step  # per period: the families share their dom step
-            tail.append((n % period, d[rho + 1 :], z, q_step, rest, a * period - q_step * n))
+            n, u = _slab_of(x, fam.dom_base + d)
+            # the step is per period: the families share their dom step
+            z, a, step, rest = _run(fam.ran_base, 0, r, fam.ran_step)
+            tail.append((n % period, u, z, step, rest, a * period - step * n))
     return Germ(p, q, period, tuple(sorted(tail)))
 
 
@@ -425,7 +421,9 @@ def bi_order_compare(f: Eppm, g: Eppm) -> str:
     'less', 'equal', or 'greater'.  f > g iff f o g^-1 exceeds the identity,
     decided by the slope at the first deviating cone."""
     for m in (f, g):
-        _require_bijection(m, "the bi-order")
+        m = _total_form(
+            m, NotBijective("the bi-order requires a bijection of the Cantor space")
+        )
         if not is_order_preserving(m):
             raise NotOrderPreserving("bi-order needs order-preserving inputs")
     if equals(f, g):

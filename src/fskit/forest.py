@@ -1,11 +1,11 @@
-"""Coloured binary trees and forests.
+"""Coloured binary trees, caret words, pruning and permutations.
 
 Trees are immutable recursive values.  Interior vertices carry a colour
-(a lowercase token); the uncoloured shape used by :func:`narrow_tree`
-carries ``None`` instead.  A caret word is the textual/DSL form of a tree:
-a sequence of ``(colour, leaf_index)`` pairs applied left to right, each
-gluing a coloured caret onto the indicated leaf (1-based, leaves counted
-left to right).  ``a1 a1 a3`` is the complete depth-2 tree on colour a.
+(a lowercase token); leaves carry ``None``.  A caret word is the
+textual/DSL form of a tree: a sequence of ``(colour, leaf_index)`` pairs
+applied left to right, each gluing a coloured caret onto the indicated
+leaf (1-based, leaves counted left to right).  ``a1 a1 a3`` is the
+complete depth-2 tree on colour a.
 """
 
 from __future__ import annotations
@@ -21,10 +21,6 @@ class ForestError(Exception):
 
 
 class IndexOutOfRange(ForestError):
-    pass
-
-
-class ShapeMismatch(ForestError):
     pass
 
 
@@ -48,11 +44,6 @@ class Tree:
 LEAF = Tree()
 
 CaretWord = tuple[tuple[str, int], ...]
-Forest = tuple[Tree, ...]
-
-
-def node(colour: Optional[str], left: Tree, right: Tree) -> Tree:
-    return Tree(colour, left, right)
 
 
 def caret(colour: Optional[str]) -> Tree:
@@ -124,20 +115,6 @@ def parse_caret_word(text: str) -> CaretWord:
 # leaves and paths
 
 
-def leaf_address(t: Tree, i: int) -> str:
-    """Address of the i-th leaf as a word over {0,1}; lexicographically
-    increasing in i."""
-    n = leaf_count(t)
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"leaf index {i} out of range 1..{n}")
-    if t.is_leaf:
-        return ""
-    nl = leaf_count(t.left)
-    if i <= nl:
-        return "0" + leaf_address(t.left, i)
-    return "1" + leaf_address(t.right, i - nl)
-
-
 def leaf_addresses(t: Tree) -> tuple[str, ...]:
     if t.is_leaf:
         return ("",)
@@ -160,39 +137,7 @@ def leaf_path(t: Tree, i: int) -> tuple[tuple[str, int], ...]:
 
 
 # ---------------------------------------------------------------------------
-# forests: composition and tensor
-
-
-def forest_leaves(f: Forest) -> int:
-    return sum(leaf_count(t) for t in f)
-
-
-def compose(f: Forest, g: Forest) -> Forest:
-    """Glue the i-th tree of g to the i-th leaf of f."""
-    if forest_leaves(f) != len(g):
-        raise ShapeMismatch(
-            f"cannot compose: {forest_leaves(f)} leaves vs {len(g)} roots"
-        )
-    it = iter(g)
-
-    def glue(t: Tree) -> Tree:
-        if t.is_leaf:
-            return next(it)
-        return Tree(t.colour, glue(t.left), glue(t.right))
-
-    return tuple(glue(t) for t in f)
-
-
-def tensor(f: Forest, g: Forest) -> Forest:
-    return f + g
-
-
-def trivial_forest(n: int) -> Forest:
-    return (LEAF,) * n
-
-
-# ---------------------------------------------------------------------------
-# pruning, narrow trees, vines
+# pruning, vines, colour counts
 
 
 class End(enum.Enum):
@@ -210,31 +155,11 @@ def prune_word(t: Tree, end: End) -> tuple[str, ...]:
     return tuple(out)
 
 
-def narrow_tree(address: str) -> tuple[Tree, int]:
-    """Smallest (uncoloured) tree containing the address as a leaf, and the
-    1-based index of that leaf."""
-    if any(ch not in "01" for ch in address):
-        raise ForestError(f"bad address {address!r}")
-    if address == "":
-        return LEAF, 1
-    sub, idx = narrow_tree(address[1:])
-    if address[0] == "0":
-        return Tree(None, sub, LEAF), idx
-    return Tree(None, LEAF, sub), idx + 1
-
-
 def right_vine(n: int, colour: Optional[str] = None) -> Tree:
     """Right-vine with n carets; leaves 1^{i-1}0 for i <= n and 1^n."""
     t = LEAF
     for _ in range(n):
         t = Tree(colour, LEAF, t)
-    return t
-
-
-def left_vine(n: int, colour: Optional[str] = None) -> Tree:
-    t = LEAF
-    for _ in range(n):
-        t = graft(t, 1, colour)
     return t
 
 
@@ -253,30 +178,6 @@ def colour_count(t: Tree) -> dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# vine decomposition
-
-
-def vine_decomposition(word: CaretWord) -> CaretWord:
-    """Normal form of a caret word under the rewrite
-    (x,i)(y,j+1) -> (y,j)(x,i) for i < j, applied leftmost-first.
-
-    Each rewrite strictly decreases the sum of leaf indices, so the loop
-    terminates; the normal form is the unique vine decomposition.
-    """
-    w = list(word)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(w) - 1):
-            (x, i), (y, m) = w[k], w[k + 1]
-            if i < m - 1:
-                w[k], w[k + 1] = (y, m - 1), (x, i)
-                changed = True
-                break
-    return tuple(w)
-
-
-# ---------------------------------------------------------------------------
 # permutations
 
 
@@ -286,12 +187,3 @@ def identity_perm(n: int) -> tuple[int, ...]:
 
 def is_permutation(images: tuple[int, ...]) -> bool:
     return sorted(images) == list(range(1, len(images) + 1))
-
-
-def is_cyclic_perm(images: tuple[int, ...]) -> bool:
-    """True iff the permutation is a power of the cycle (1 2 ... n)."""
-    n = len(images)
-    if n == 0:
-        return False
-    shift = images[0] - 1
-    return all(images[k] == (k + shift) % n + 1 for k in range(n))

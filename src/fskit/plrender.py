@@ -5,16 +5,15 @@ The Cantor space maps onto [0,1] by j(p) = sum p_k/2^k; a prefix piece
 interval below u onto the one below v.  Tail families contribute pieces
 until the rendered width drops under 2^-depth; beyond that the pieces are
 elided and the accumulation point is recorded.  Everything is exact: all
-endpoints are dyadic, slopes are powers of two, and fixed points are exact
-rationals.  Floats never enter the data path; SVG output serialises
-coordinates at 9 decimal digits with round-half-even.
+endpoints are dyadic and slopes are powers of two.  Floats never enter
+the data path; SVG output serialises coordinates at 9 decimal digits with
+round-half-even.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .eppm import Eppm, EppmError, NotOrderPreserving, canonicalize
 from . import dynamics
@@ -173,36 +172,6 @@ def _validate_circle_continuity(m: PlMap) -> None:
             )
 
 
-def breakpoints(m: PlMap) -> list[tuple[Dyadic, int, int]]:
-    """Interior boundaries where slope or intercept jumps, as
-    (point, left_slope_exp, right_slope_exp)."""
-    out = []
-    for a, b in zip(m.pieces, m.pieces[1:]):
-        if a.right != b.left:
-            continue
-        if a.slope_exp != b.slope_exp or a.intercept != b.intercept:
-            out.append((a.right, a.slope_exp, b.slope_exp))
-    return out
-
-
-FixedSet = Union[tuple[str, Fraction, Fraction], tuple[str, Fraction]]
-
-
-def fixed_points(m: PlMap) -> list[FixedSet]:
-    """Exact solutions of piece(x) = x: ("interval", l, r) for identity
-    pieces, ("point", x) with x an exact rational otherwise."""
-    out: list[FixedSet] = []
-    for p in m.pieces:
-        slope = Fraction(2) ** p.slope_exp
-        if slope == 1 and p.intercept.num == 0:
-            out.append(("interval", p.left.value, p.right.value))
-        elif slope != 1:
-            x = p.intercept.value / (1 - slope)
-            if p.left.value <= x < p.right.value:
-                out.append(("point", x))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # deterministic CSV / SVG emission
 
@@ -218,24 +187,6 @@ def emit_csv(m: PlMap) -> str:
             f"{p.slope_exp},{p.intercept.num},{p.intercept.exp}"
         )
     return "\n".join(lines) + "\n"
-
-
-def parse_csv(text: str, domain_kind: str = "interval") -> PlMap:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if lines[0] != CSV_HEADER:
-        raise ValueError("bad CSV header")
-    pieces = []
-    for ln in lines[1:]:
-        left_s, right_s, se, inum, iexp = ln.split(",")
-        pieces.append(
-            PlPiece(
-                from_fraction(Fraction(left_s)),
-                from_fraction(Fraction(right_s)),
-                int(se),
-                Dyadic(int(inum), int(iexp)),
-            )
-        )
-    return PlMap(tuple(pieces), (), 0, domain_kind)
 
 
 def _round_half_even_scaled(fr: Fraction, digits: int = 9) -> int:

@@ -93,9 +93,6 @@ def ev_periodic(pre: str, per: str) -> EvPeriodic:
     return EvPeriodic(pre, _primitive(per))
 
 
-O_POINT = ev_periodic("", "0")
-OMEGA = ev_periodic("", "1")
-
 _POINT_RE = re.compile(r"^([01]*)\(([01]+)\)$")
 
 
@@ -104,26 +101,3 @@ def parse_point(text: str) -> EvPeriodic:
     if not m:
         raise PointSyntaxError(f"bad point literal {text!r}; expected u(v)")
     return ev_periodic(m.group(1), m.group(2))
-
-
-def tail_equivalent(p: EvPeriodic, q: EvPeriodic) -> bool:
-    """True iff p and q share a common suffix.
-
-    With primitive periods, this holds exactly when the periods are
-    rotations of each other (every rotation occurs as a suffix of both).
-    """
-    if len(p.per) != len(q.per):
-        return False
-    return q.per in p.per + p.per
-
-
-def compare(p: EvPeriodic, q: EvPeriodic) -> int:
-    """Lexicographic comparison (0 < 1); -1, 0, or 1."""
-    if p == q:
-        return 0
-    bound = len(p.pre) + len(q.pre) + len(p.per) * len(q.per) + 1
-    for i in range(bound):
-        a, b = p.letter(i), q.letter(i)
-        if a != b:
-            return -1 if a < b else 1
-    return 0

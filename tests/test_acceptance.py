@@ -63,7 +63,7 @@ from fskit.eppm import (
     make_eppm,
 )
 from fskit.forest import End, leaf_count
-from fskit.plrender import breakpoints, emit_csv, fixed_points, to_interval_map
+from fskit.plrender import emit_csv, to_interval_map
 from fskit.presentation import (
     AbelianInvariants,
     abelianisation,
@@ -71,7 +71,9 @@ from fskit.presentation import (
     germ_presentation,
     parse_presentation,
 )
-from fskit.sequences import ev_periodic, parse_point, tail_equivalent
+from fskit.sequences import ev_periodic, parse_point
+from plmap_reading import breakpoints, fixed_points
+from point_relations import tail_equivalent
 from region_walk import is_identity_on_domain, region_equal
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -34,10 +34,12 @@ from fskit.eppm import (
     make_eppm,
     restrict,
 )
-from fskit.forest import build_tree, identity_perm, leaf_count, parse_caret_word
-from fskit.sequences import parse_point, tail_equivalent
+from fskit.forest import LEAF, build_tree, identity_perm, leaf_count, parse_caret_word
+from fskit.sequences import parse_point
 
 import stream_oracle
+from forest_algebra import compose as compose_forest
+from point_relations import compare, tail_equivalent
 from conftest import (
     random_point,
     random_signed_word,
@@ -495,18 +497,16 @@ def test_germ_arrow_non_fixed_point(j3):
 def _expanded_fraction(rng, cls, t, perm, s):
     """Grow [t, perm, s] by gluing the same small tree to a matching pair of
     leaves; the result represents the same group element."""
-    from fskit.forest import compose as fcompose, trivial_forest
-
     n = leaf_count(s)
     j = rng.randint(1, n)
     extra = random_tree(rng, rng.randint(1, 3))
     m = leaf_count(extra)
-    fs = list(trivial_forest(n))
+    fs = [LEAF] * n
     fs[j - 1] = extra
-    s2 = fcompose((s,), tuple(fs))[0]
-    ft = list(trivial_forest(n))
+    s2 = compose_forest((s,), tuple(fs))[0]
+    ft = [LEAF] * n
     ft[perm[j - 1] - 1] = extra
-    t2 = fcompose((t,), tuple(ft))[0]
+    t2 = compose_forest((t,), tuple(ft))[0]
 
     def t2_index(old):
         return old + (m - 1 if old > perm[j - 1] else 0)
@@ -571,8 +571,6 @@ def test_order_tests_match_pointwise_truth(j3, nonsimple4, cleary2, rho2):
     # cross-validate the symbolic order tests against evaluation at all
     # piece-boundary points: order-preserving iff no descent in the linear
     # reading, cyclic iff at most one descent in the cyclic reading
-    from fskit.sequences import compare
-
     rng = random.Random(314)
     for _ in range(60):
         cls = rng.choice((j3, nonsimple4, cleary2, rho2))

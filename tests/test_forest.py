@@ -7,27 +7,20 @@ from fskit.forest import (
     LEAF,
     End,
     IndexOutOfRange,
-    ShapeMismatch,
+    Tree,
     build_tree,
     caret,
     colour_count,
-    compose,
-    leaf_address,
     leaf_addresses,
     leaf_count,
     leaf_path,
-    left_vine,
-    narrow_tree,
-    node,
     parse_caret_word,
     prune_word,
     right_vine,
-    tensor,
-    trivial_forest,
-    vine_decomposition,
 )
 
 from conftest import random_tree
+from forest_algebra import ShapeMismatch, compose, leaf_address
 
 
 def read_back(t):
@@ -45,17 +38,6 @@ def read_back(t):
     return tuple(out)
 
 
-def vines_of(word):
-    """Split a vine-decomposed word into its maximal right-vine runs."""
-    runs = []
-    for colour, i in vine_decomposition(word):
-        if runs and i == runs[-1][-1][1] + 1:
-            runs[-1].append((colour, i))
-        else:
-            runs.append([(colour, i)])
-    return tuple(tuple(r) for r in runs)
-
-
 def test_build_tree_trivial():
     assert build_tree(()) == LEAF
     assert build_tree((("a", 1),)) == caret("a")
@@ -63,7 +45,7 @@ def test_build_tree_trivial():
 
 def test_build_tree_depth_two():
     t = build_tree(parse_caret_word("a1 a1 a3"))
-    assert t == node("a", caret("a"), caret("a"))
+    assert t == Tree("a", caret("a"), caret("a"))
     assert leaf_addresses(t) == ("00", "01", "10", "11")
 
 
@@ -122,13 +104,13 @@ def test_compose_identity():
     rng = random.Random(3)
     f = (random_tree(rng, 4), random_tree(rng, 2))
     n = leaf_count(f[0]) + leaf_count(f[1])
-    assert compose(f, trivial_forest(n)) == f
-    assert compose(trivial_forest(2), f) == f
+    assert compose(f, (LEAF,) * n) == f
+    assert compose((LEAF,) * 2, f) == f
 
 
 def test_compose_single_gluing():
     got = compose((caret("a"),), (caret("b"), LEAF))
-    assert got == (node("a", caret("b"), LEAF),)
+    assert got == (Tree("a", caret("b"), LEAF),)
 
 
 def test_compose_shape_mismatch():
@@ -145,21 +127,8 @@ def test_compose_associative():
         assert compose(compose(f, g), h) == compose(f, compose(g, h))
 
 
-def test_tensor():
-    f = (caret("a"),)
-    g = (caret("b"),)
-    assert tensor(f, g) == (caret("a"), caret("b"))
-    rng = random.Random(5)
-    for _ in range(20):
-        a = tuple(random_tree(rng, 2) for _ in range(rng.randint(1, 3)))
-        b = tuple(random_tree(rng, 2) for _ in range(rng.randint(1, 3)))
-        c = tuple(random_tree(rng, 2) for _ in range(rng.randint(1, 3)))
-        assert tensor(tensor(a, b), c) == tensor(a, tensor(b, c))
-        assert len(tensor(a, b)) == len(a) + len(b)
-
-
 def test_prune_word():
-    t = node("a", caret("b"), caret("c"))
+    t = Tree("a", caret("b"), caret("c"))
     assert prune_word(t, End.FIRST) == ("a", "b")
     assert prune_word(t, End.LAST) == ("a", "c")
     assert prune_word(LEAF, End.FIRST) == ()
@@ -178,28 +147,14 @@ def test_prune_word_concatenates_under_gluing():
 
 
 def graft_tree_at(t, i, s):
-    from fskit.forest import compose, trivial_forest
-
-    forest = list(trivial_forest(leaf_count(t)))
+    forest = [LEAF] * leaf_count(t)
     forest[i - 1] = s
     return compose((t,), tuple(forest))[0]
-
-
-def test_narrow_tree():
-    shape, idx = narrow_tree("0")
-    assert shape == caret(None) and idx == 1
-    shape, idx = narrow_tree("")
-    assert shape == LEAF and idx == 1
-    shape, idx = narrow_tree("010")
-    assert leaf_count(shape) == 4
-    assert idx == 2
-    assert leaf_addresses(shape)[idx - 1] == "010"
 
 
 def test_vines():
     assert right_vine(0, "a") == LEAF
     assert leaf_addresses(right_vine(2, "a")) == ("0", "10", "11")
-    assert leaf_addresses(left_vine(2, "a")) == ("00", "01", "1")
 
 
 def test_colour_count():
@@ -218,31 +173,6 @@ def test_colour_count():
         assert combined == expected
 
 
-def test_vine_decomposition_single_rule():
-    assert vine_decomposition((("a", 1), ("b", 3))) == (("b", 2), ("a", 1))
-
-
-def test_vine_decomposition_fixes_sorted():
-    w = parse_caret_word("a1 a2 a1")
-    assert vine_decomposition(w) == w
-
-
-def test_vine_decomposition_preserves_tree():
-    rng = random.Random(8)
-    for _ in range(100):
-        t = random_tree(rng, rng.randint(0, 10))
-        w = read_back(t)
-        nf = vine_decomposition(w)
-        assert build_tree(nf) == t
-        assert vine_decomposition(nf) == nf  # idempotent
-
-
-def test_vine_decomposition_of_depth_two_tree():
-    w = parse_caret_word("a1 a1 a3")
-    assert vine_decomposition(w) == parse_caret_word("a1 a2 a1")
-    assert vines_of(w) == (parse_caret_word("a1 a2"), parse_caret_word("a1"))
-
-
 @given(st.integers(1, 30))
 def test_vine_addresses(n):
     rho = right_vine(n, "a")
@@ -252,12 +182,8 @@ def test_vine_addresses(n):
 
 
 def test_permutation_helpers():
-    from fskit.forest import identity_perm, is_cyclic_perm, is_permutation
+    from fskit.forest import identity_perm, is_permutation
 
     assert identity_perm(3) == (1, 2, 3)
     assert is_permutation((2, 1, 3))
     assert not is_permutation((2, 2, 3))
-    assert is_cyclic_perm((1, 2, 3))
-    assert is_cyclic_perm((2, 3, 1))
-    assert not is_cyclic_perm((2, 1, 3))
-    assert not is_cyclic_perm(())

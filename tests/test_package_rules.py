@@ -1,14 +1,25 @@
 """Rules the fskit package keeps: no assert statements (they vanish under
-python -O, so they cannot guard anything), and standard-library imports
-only."""
+python -O, so they cannot guard anything), standard-library imports only,
+and no top-level definition that nothing in the package uses unless the
+README documents it (test-only helpers live in tests/)."""
 
 import ast
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "fskit").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "fskit").glob("*.py"))
+
+# Library entry points that no other fskit definition uses, each with the
+# README text that documents it.
+DOCUMENTED = {
+    ("dynamics", "germ_at"): "`germ_at(f, p)`",
+    ("dynamics", "support"): "`support(f)`",
+    ("presentation", "enumerate_good_words"): "`enumerate_good_words(cls, max_len)`",
+}
 
 
 def test_sources_found():
@@ -35,3 +46,105 @@ def test_imports_standard_library_or_fskit(path):
             continue
         foreign += [n for n in names if n.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == [], f"{path.name}: imports {foreign}"
+
+
+def _top_level_definitions(tree: ast.Module):
+    """(name, node) for every top-level function, class and constant,
+    dunder names apart."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if not name.startswith("__"):
+                yield name, node
+
+
+def _references(module: str, tree: ast.Module):
+    """((module, name), node) for every use of a top-level fskit name in
+    `tree`, with the top-level node it occurs in: bare names of the module
+    itself, names imported with `from .other import name`, and attributes
+    of modules imported with `from . import other`."""
+    imported: dict[str, tuple[str, str]] = {}
+    modules: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    imported[alias.asname or alias.name] = (node.module, alias.name)
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield imported.get(node.id, (module, node.id)), top
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+            ):
+                yield (modules[node.value.id], node.attr), top
+
+
+def _exported() -> set[tuple[str, str]]:
+    """(module, name) for every name in fskit.__all__, through the
+    imports of fskit/__init__.py."""
+    tree = _package()["__init__"]
+    origin = {
+        alias.asname or alias.name: (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+    }
+    (listed,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    ]
+    return {origin[ast.literal_eval(elt)] for elt in listed.elts}
+
+
+@cache
+def _package() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+
+
+@cache
+def _used() -> frozenset[tuple[str, str]]:
+    """(module, name) of every top-level definition that another top-level
+    definition of the package uses."""
+    trees = _package()
+    defined = {
+        (module, name): node
+        for module, tree in trees.items()
+        for name, node in _top_level_definitions(tree)
+    }
+    return frozenset(
+        key
+        for module, tree in trees.items()
+        for key, top in _references(module, tree)
+        if key in defined and defined[key] is not top
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_definition_is_used_or_documented(path):
+    """Every top-level function, class and constant of src/fskit is used by
+    another definition of the package (the CLI counts), exported in
+    fskit.__all__, or a README-documented entry point in DOCUMENTED."""
+    names = {(path.stem, name) for name, _ in _top_level_definitions(_package()[path.stem])}
+    unused = sorted(names - _used() - _exported() - set(DOCUMENTED))
+    assert unused == [], f"{path.name}: nothing in src/fskit uses {unused}"
+
+
+@pytest.mark.parametrize("key", sorted(DOCUMENTED), ids=".".join)
+def test_documented_entry_points_exist_and_are_in_the_readme(key):
+    module, name = key
+    assert name in dict(_top_level_definitions(_package()[module]))
+    assert DOCUMENTED[key] in (ROOT / "README.md").read_text(encoding="utf-8")

@@ -8,19 +8,18 @@ from fskit.forest import build_tree, parse_caret_word
 from fskit.plrender import (
     Dyadic,
     NotCyclicOrderPreserving,
-    breakpoints,
     cone_left,
     decimal_string,
     dyadic,
     emit_csv,
     emit_svg,
-    fixed_points,
     from_fraction,
-    parse_csv,
     to_circle_map,
     to_interval_map,
 )
 from fskit.sequences import ev_periodic
+
+from plmap_reading import breakpoints, fixed_points, parse_csv
 
 
 def tree(text):

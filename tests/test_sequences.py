@@ -3,16 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from fskit.sequences import (
-    EvPeriodic,
-    O_POINT,
-    OMEGA,
-    PointSyntaxError,
-    compare,
-    ev_periodic,
-    parse_point,
-    tail_equivalent,
-)
+from fskit.sequences import EvPeriodic, PointSyntaxError, ev_periodic, parse_point
+
+from point_relations import compare, tail_equivalent
 
 
 binary = st.text(alphabet="01", max_size=6)
@@ -20,14 +13,14 @@ binary1 = st.text(alphabet="01", min_size=1, max_size=6)
 
 
 def test_normalization_absorbs_preperiod():
-    assert ev_periodic("1", "1") == OMEGA
+    assert ev_periodic("1", "1") == parse_point("(1)")
     assert ev_periodic("00", "10") == EvPeriodic("0", "01")
     assert ev_periodic("0", "01").pre == "0"
 
 
 def test_primitive_period():
     assert ev_periodic("", "0101").per == "01"
-    assert ev_periodic("", "1111") == OMEGA
+    assert ev_periodic("", "1111") == parse_point("(1)")
 
 
 @given(binary, binary1)
@@ -83,8 +76,8 @@ def test_starts_with_and_prefix_agree_with_letters(pre, per, w):
 
 def test_parse_point():
     assert parse_point("01(10)") == ev_periodic("01", "10")
-    assert parse_point("(1)") == OMEGA
-    assert parse_point("(0)") == O_POINT
+    assert parse_point("(1)") == ev_periodic("", "1")
+    assert parse_point("(0)") == ev_periodic("", "0")
     with pytest.raises(PointSyntaxError):
         parse_point("01")
     with pytest.raises(PointSyntaxError):
@@ -92,9 +85,9 @@ def test_parse_point():
 
 
 def test_tail_equivalence_examples():
-    assert tail_equivalent(parse_point("0(1)"), OMEGA)
+    assert tail_equivalent(parse_point("0(1)"), parse_point("(1)"))
     assert tail_equivalent(parse_point("(01)"), parse_point("(10)"))
-    assert not tail_equivalent(parse_point("(01)"), O_POINT)
+    assert not tail_equivalent(parse_point("(01)"), parse_point("(0)"))
 
 
 @given(binary, binary, binary1)
@@ -104,16 +97,16 @@ def test_tail_equivalence_shift_invariant(u, pre, per):
 
 
 def test_to_fraction():
-    assert O_POINT.to_fraction() == 0
-    assert OMEGA.to_fraction() == 1
+    assert parse_point("(0)").to_fraction() == 0
+    assert parse_point("(1)").to_fraction() == 1
     assert parse_point("1(0)").to_fraction() == Fraction(1, 2)
     assert parse_point("(01)").to_fraction() == Fraction(1, 3)
     assert parse_point("01(10)").to_fraction() == Fraction(1, 4) + Fraction(1, 4) * Fraction(2, 3)
 
 
 def test_compare():
-    assert compare(O_POINT, OMEGA) == -1
-    assert compare(OMEGA, O_POINT) == 1
+    assert compare(parse_point("(0)"), parse_point("(1)")) == -1
+    assert compare(parse_point("(1)"), parse_point("(0)")) == 1
     assert compare(parse_point("01(0)"), parse_point("10(0)")) == -1
     assert compare(parse_point("(10)"), parse_point("(10)")) == 0
 
@@ -122,4 +115,4 @@ def test_leading_run():
     assert parse_point("110(0)").leading_run("1") == 2
     assert parse_point("0(1)").leading_run("1") == 0
     with pytest.raises(ValueError):
-        OMEGA.leading_run("1")
+        parse_point("(1)").leading_run("1")
