@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import dynamics, plrender, probe as probe_mod
 from .eppm import EppmError, UndefinedAt, canonicalize, equals, evaluate
@@ -183,7 +184,9 @@ def cmd_plot(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on the first call and reused: parsing keeps no state in it."""
     top = argparse.ArgumentParser(
         prog="fskit",
         description="exact computation with two-colour forest-skein presentations",

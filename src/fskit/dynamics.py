@@ -41,7 +41,7 @@ from .eppm import (
     is_total,
     make_eppm,
 )
-from .forest import Tree, identity_perm, is_permutation, leaf_count, leaf_path
+from .forest import Tree, identity_perm, is_permutation, leaf_count
 from .presentation import TwoColourRightVine, UnsupportedClass
 from .sequences import EvPeriodic, ev_periodic
 
@@ -112,13 +112,19 @@ def _total_form(f: Eppm, error: EppmError) -> Eppm:
 # fractions [t, pi, s]
 
 
-def beta_path(cls: TwoColourRightVine, t: Tree, leaf: int) -> Eppm:
-    """beta(t, leaf): the pointed-tree transformation, composed along the
-    root-to-leaf path with the root caret outermost."""
-    acc = IDENTITY
-    for colour, direction in leaf_path(t, leaf):
-        acc = compose(acc, caret_map(cls, colour, direction))
-    return acc
+def _leaf_maps(cls: TwoColourRightVine, t: Tree) -> list[Eppm]:
+    """beta(t, leaf) for every leaf of t, left to right: the caret maps
+    composed down the root-to-leaf path, root caret outermost, each path
+    prefix composed once."""
+    out, stack = [], [(t, IDENTITY)]
+    while stack:
+        node, acc = stack.pop()
+        if node.is_leaf:
+            out.append(acc)
+            continue
+        for direction, child in ((1, node.right), (0, node.left)):
+            stack.append((child, compose(acc, caret_map(cls, node.colour, direction))))
+    return out
 
 
 def evaluate_fraction(
@@ -137,11 +143,11 @@ def evaluate_fraction(
         raise NotBijective(f"fraction shape mismatch: {leaf_count(t)} vs {n} leaves")
     if len(perm) != n or not is_permutation(perm):
         raise NotBijective(f"perm {perm} is not a permutation of 1..{n}")
+    beta_t, beta_s = _leaf_maps(cls, t), _leaf_maps(cls, s)
     pieces: list[Piece] = []
-    fams = []
-    limits = []
-    for j in range(1, n + 1):
-        branch = compose(beta_path(cls, t, perm[j - 1]), invert(beta_path(cls, s, j)))
+    fams, limits = [], []
+    for j in range(n):
+        branch = compose(beta_t[perm[j] - 1], invert(beta_s[j]))
         pieces.extend(branch.pieces)
         fams.extend(branch.families)
         limits.extend(branch.limits)

@@ -358,14 +358,15 @@ def _compose_through_family(
     one, the rest under the roof rb.1^(m0 c') all at once.
 
     Only f's atoms in the cone rb act on g_fam's ranges, so f is first
-    restricted to rb.  Write x = rb with its trailing 1s stripped.  m0 is
-    the least m >= 0 that makes the roof as long as every piece of the
-    restriction, as every deeper point y of its families at y.1^inf, and
-    as len(base) + the longest leading 1-run of a block for its families
-    at x.1^inf.  Below the roof, then:
+    restricted to rb.  Write x = rb with its trailing 1s stripped.  A word
+    rb.1^i.0... is off the roof cone once the roof is len(rb) + i + 1
+    long, and rb.1^i once it is as long.  m0 is the least m >= 0 that
+    makes the roof that long for every piece of the restriction and every
+    deeper point y of its families at y.1^inf, and as long as len(base) +
+    the longest leading 1-run of a block for its families at x.1^inf.
+    Below the roof, then:
 
-    - a piece no longer than the roof meets the roof cone only by covering
-      it;
+    - a piece meets the roof cone only by covering it;
     - a family base in the cone rb is y.1^k with y not ending in 1; if y
       is no longer than rb, y is x.  A deeper point y is rb.1^i.0..., so
       it has a 0 where the roof has a 1, and its family cannot meet the
@@ -387,11 +388,15 @@ def _compose_through_family(
     c, cp = g_fam.dom_step, g_fam.ran_step
     f = restrict(f, rb)
     x = rb.rstrip("1")
-    depth = max((len(p.dom) for p in f.pieces), default=0)
+
+    def off_roof(w: str) -> int:
+        return min(len(w), len(rb) + _lead_ones(w[len(rb) :]) + 1)
+
+    depth = max((off_roof(p.dom) for p in f.pieces), default=0)
     for fam in f.families:
         y = fam.dom_base.rstrip("1")
         if y != x:
-            depth = max(depth, len(y))
+            depth = max(depth, off_roof(y))
         else:
             lead = max((_lead_ones(d) for d, _ in fam.blocks), default=0)
             depth = max(depth, len(fam.dom_base) + lead)

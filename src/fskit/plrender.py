@@ -5,9 +5,10 @@ The Cantor space maps onto [0,1] by j(p) = sum p_k/2^k; a prefix piece
 interval below u onto the one below v.  Tail families contribute pieces
 until the rendered width drops under 2^-depth; beyond that the pieces are
 elided and the accumulation point is recorded.  Everything is exact: all
-endpoints are dyadic and slopes are powers of two.  Floats never enter
-the data path; SVG output serialises coordinates at 9 decimal digits with
-round-half-even.
+endpoints and images are integer numerators over powers of two, and
+slopes are powers of two.  Neither floats nor `Fraction` enter the data
+path (tests read `Dyadic.value` and `PlPiece.apply`); SVG output
+serialises coordinates at 9 decimal digits, rounded half to even.
 """
 
 from __future__ import annotations
@@ -38,42 +39,23 @@ class Dyadic:
     def value(self) -> Fraction:
         return Fraction(self.num, 2**self.exp)
 
+    # a / 2^e < b / 2^f exactly when a.2^f < b.2^e
     def __lt__(self, other: "Dyadic") -> bool:
-        return self.value < other.value
+        return self.num << other.exp < other.num << self.exp
 
     def __le__(self, other: "Dyadic") -> bool:
-        return self.value <= other.value
+        return self.num << other.exp <= other.num << self.exp
 
     def __str__(self) -> str:
         return decimal_string(self)
 
 
 def dyadic(num: int, exp: int = 0) -> Dyadic:
-    while exp > 0 and num % 2 == 0:
-        num //= 2
-        exp -= 1
     if num == 0:
-        exp = 0
-    return Dyadic(num, exp)
-
-
-def from_fraction(fr: Fraction) -> Dyadic:
-    den = fr.denominator
-    exp = den.bit_length() - 1
-    if 2**exp != den:
-        raise ValueError(f"{fr} is not dyadic")
-    return dyadic(fr.numerator, exp)
-
-
-def cone_left(prefix: str) -> Fraction:
-    """j(prefix.0^inf): the left endpoint of the cone's dyadic interval."""
-    if not prefix:
-        return Fraction(0)
-    return Fraction(int(prefix, 2), 2 ** len(prefix))
-
-
-def cone_width(prefix: str) -> Fraction:
-    return Fraction(1, 2 ** len(prefix))
+        return Dyadic(0, 0)
+    # strip the common factors of two: num's trailing zero bits, up to exp
+    shift = max(0, min(exp, (num & -num).bit_length() - 1))
+    return Dyadic(num >> shift, exp - shift)
 
 
 def decimal_string(d: Dyadic) -> str:
@@ -105,25 +87,23 @@ class PlMap:
     domain_kind: str  # "interval" | "circle"
 
 
-def _piece_to_pl(dom: str, ran: str) -> PlPiece:
-    left = cone_left(dom)
-    slope_exp = len(dom) - len(ran)
-    intercept = cone_left(ran) - Fraction(2) ** slope_exp * left
+def _cone_piece(dom: str, ran: str) -> PlPiece:
+    """The cone map dom -> ran: [u, u + 1) / 2^|dom| onto [v, v + 1) /
+    2^|ran|, with intercept (v - u) / 2^|ran|, u and v read in binary."""
+    u, v = int(dom or "0", 2), int(ran or "0", 2)
     return PlPiece(
-        from_fraction(left),
-        from_fraction(left + cone_width(dom)),
-        slope_exp,
-        from_fraction(intercept),
+        dyadic(u, len(dom)),
+        dyadic(u + 1, len(dom)),
+        len(dom) - len(ran),
+        dyadic(v - u, len(ran)),
     )
 
 
 def _expand(f: Eppm, depth: int) -> tuple[list[PlPiece], list[Dyadic]]:
     if depth < 0:
         raise ValueError(f"depth must be at least 0, got {depth}")
-    pl: list[PlPiece] = []
-    accumulation: list[Dyadic] = []
-    for p in f.pieces:
-        pl.append(_piece_to_pl(p.dom, p.ran))
+    cones = [(p.dom, p.ran) for p in f.pieces]
+    accumulation: set[Dyadic] = set()
     for fam in f.families:
         # draw a piece in the slab x.1^n.0 of the point x.1^inf (x not
         # ending in 1) iff len(x) + n <= depth: what is elided lives strictly
@@ -133,11 +113,11 @@ def _expand(f: Eppm, depth: int) -> tuple[list[PlPiece], list[Dyadic]]:
             reach = len(fam.dom_base) + len(d) - len(d.lstrip("1"))
             for m in range((depth - reach) // fam.dom_step + 1):
                 piece = fam.piece_at(m, (d, r))
-                pl.append(_piece_to_pl(piece.dom, piece.ran))
-        sup = cone_left(fam.dom_base) + cone_width(fam.dom_base)
-        accumulation.append(from_fraction(sup))
-    pl.sort(key=lambda q: q.left.value)
-    return pl, sorted(dict.fromkeys(accumulation), key=lambda d: d.value)
+                cones.append((piece.dom, piece.ran))
+        accumulation.add(_cone_piece(fam.dom_base, "").right)
+    # the doms are prefix-free, so their string order is left-end order
+    cones.sort()
+    return [_cone_piece(dom, ran) for dom, ran in cones], sorted(accumulation)
 
 
 def to_interval_map(f: Eppm, depth: int = 12) -> PlMap:
@@ -158,17 +138,25 @@ def to_circle_map(f: Eppm, depth: int = 12) -> PlMap:
     return m
 
 
+def _image(p: PlPiece, x: Dyadic) -> tuple[int, int]:
+    """p(x) = 2^slope_exp.x + intercept as (numerator, exponent)."""
+    x_exp, c = x.exp - p.slope_exp, p.intercept
+    e = max(x_exp, c.exp)
+    return (x.num << (e - x_exp)) + (c.num << (e - c.exp)), e
+
+
 def _validate_circle_continuity(m: PlMap) -> None:
     """Adjacent rendered pieces of a T-type map must join continuously
     modulo 1 (gaps from truncation are skipped)."""
     for a, b in zip(m.pieces, m.pieces[1:]):
         if a.right != b.left:
             continue
-        left_val = a.apply(a.right.value) % 1
-        right_val = b.apply(b.left.value) % 1
-        if left_val != right_val:
+        (n1, e1), (n2, e2) = _image(a, a.right), _image(b, b.left)
+        e = max(e1, e2)
+        if ((n1 << (e - e1)) - (n2 << (e - e2))) % (1 << e):
             raise NotCyclicOrderPreserving(
-                f"discontinuity at {a.right}: {left_val} vs {right_val}"
+                f"discontinuity at {a.right}: {a.apply(a.right.value) % 1} vs "
+                f"{b.apply(b.left.value) % 1}"
             )
 
 
@@ -189,17 +177,12 @@ def emit_csv(m: PlMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _round_half_even_scaled(fr: Fraction, digits: int = 9) -> int:
-    scaled = fr * 10**digits
-    n, d = scaled.numerator, scaled.denominator
-    q, r = divmod(n, d)
-    if 2 * r > d or (2 * r == d and q % 2):
+def _svg_coord(num: int, exp: int) -> str:
+    """num / 2^exp at 9 decimals, rounded half to even."""
+    den = 1 << exp
+    q, r = divmod(num * 10**9, den)
+    if 2 * r > den or (2 * r == den and q % 2):
         q += 1
-    return q
-
-
-def _svg_coord(fr: Fraction) -> str:
-    q = _round_half_even_scaled(fr)
     sign = "-" if q < 0 else ""
     digits = str(abs(q)).rjust(10, "0")
     return f"{sign}{digits[:-9]}.{digits[-9:]}"
@@ -210,11 +193,12 @@ def emit_svg(m: PlMap, width: int = 512, height: int = 512) -> str:
     if width < 1 or height < 1:
         raise ValueError(f"plot size must be at least 1x1, got {width}x{height}")
 
-    def x(fr: Fraction) -> str:
-        return _svg_coord(fr * width)
+    # the point num / 2^exp of [0, 1] as an x or a y coordinate
+    def x(num: int, exp: int) -> str:
+        return _svg_coord(num * width, exp)
 
-    def y(fr: Fraction) -> str:
-        return _svg_coord((1 - fr) * height)
+    def y(num: int, exp: int) -> str:
+        return _svg_coord(((1 << exp) - num) * height, exp)
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -222,20 +206,19 @@ def emit_svg(m: PlMap, width: int = 512, height: int = 512) -> str:
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" '
         'fill="white" stroke="black" stroke-width="1"/>',
-        f'<line x1="{x(Fraction(0))}" y1="{y(Fraction(0))}" '
-        f'x2="{x(Fraction(1))}" y2="{y(Fraction(1))}" '
+        f'<line x1="{x(0, 0)}" y1="{y(0, 0)}" x2="{x(1, 0)}" y2="{y(1, 0)}" '
         'stroke="#cccccc" stroke-width="1" stroke-dasharray="4 4"/>',
     ]
     for p in m.pieces:
-        x0, x1 = p.left.value, p.right.value
-        y0, y1 = p.apply(x0), p.apply(x1)
+        lo, hi = p.left, p.right
         lines.append(
-            f'<line x1="{x(x0)}" y1="{y(y0)}" x2="{x(x1)}" y2="{y(y1)}" '
+            f'<line x1="{x(lo.num, lo.exp)}" y1="{y(*_image(p, lo))}" '
+            f'x2="{x(hi.num, hi.exp)}" y2="{y(*_image(p, hi))}" '
             'stroke="black" stroke-width="2"/>'
         )
     for a in m.accumulation_points:
         lines.append(
-            f'<circle cx="{x(a.value)}" cy="{y(Fraction(0))}" r="3" '
+            f'<circle cx="{x(a.num, a.exp)}" cy="{y(0, 0)}" r="3" '
             'fill="none" stroke="red" stroke-width="1"/>'
         )
     lines.append("</svg>")

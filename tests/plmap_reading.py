@@ -7,7 +7,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from fskit.plrender import CSV_HEADER, Dyadic, PlMap, PlPiece, from_fraction
+from fskit.plrender import CSV_HEADER, Dyadic, PlMap, PlPiece
+
+from fraction_render import from_fraction
 
 
 def breakpoints(m: PlMap) -> list[tuple[Dyadic, int, int]]:

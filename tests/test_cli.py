@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from fskit.cli import main
+from fskit.cli import build_parser, main
+from fskit.dynamics import parse_element
 
+import fraction_render
 from conftest import CLEARY2_TEXT, J3_TEXT, NONSIMPLE4_TEXT, RHO2_TEXT
 
 
@@ -187,9 +189,51 @@ def test_plot_svg_stdout(fsp, capsys):
     assert code == 0 and out.startswith("<?xml")
 
 
+@pytest.mark.parametrize("width, height", [(3, 7), (511, 3)])
+def test_plot_odd_size_matches_fraction_reference(fsp, capsys, j3, width, height):
+    # at depth 12 some coordinates of [b1 | id | a1] are exact ties at 9
+    # decimals; they round half to even as on the Fraction path
+    size = ["--width", str(width), "--height", str(height)]
+    code, out, _ = run(
+        capsys, "plot", fsp(J3_TEXT), "-e", "[b1 | id | a1]", "--format", "svg", *size
+    )
+    m = fraction_render.to_interval_map(parse_element(j3, "[b1 | id | a1]"), 12)
+    assert code == 0 and out == fraction_render.emit_svg(m, width, height)
+
+
 def test_usage_error(capsys):
     code, _, _ = run(capsys, "bogus")
     assert code == 1
+
+
+def test_reused_parser_keeps_no_state(fsp, capsys):
+    # main builds its parser on the first call of a process and reuses it:
+    # a usage error, --help, a plot, a probe and an appending -e option,
+    # run one after another, each give what they give as the first call
+    path = fsp(J3_TEXT)
+    calls = [
+        ("plot", path, "-e", "[b1 | id | a1]", "--kind", "sphere"),
+        ("--help",),
+        ("plot", path, "-e", "[a1 | 2 1 | a1]", "--kind", "circle", "--format", "svg"),
+        ("check-simple", path, "--max-len", "5"),
+        ("equal", path, "-e", "A1 A1", "-e", "B1 B1 B1"),
+    ]
+
+    def result(argv):
+        code, out, err = run(capsys, *argv)
+        if argv[0] == "check-simple":
+            out = {k: v for k, v in json.loads(out).items() if k != "seconds"}
+        return code, out, err
+
+    firsts = []
+    for argv in calls:
+        build_parser.cache_clear()
+        firsts.append(result(argv))
+    assert [code for code, _, _ in firsts] == [1, 0, 0, 0, 0]
+    assert "invalid choice: 'sphere'" in firsts[0][2] and "usage: fskit" in firsts[1][1]
+    build_parser.cache_clear()
+    assert [result(argv) for argv in calls + calls] == firsts + firsts
+    assert build_parser.cache_info().misses == 1
 
 
 def test_check_simple_rejects_jobs(fsp, capsys):

@@ -39,6 +39,7 @@ from fskit.sequences import parse_point
 
 import stream_oracle
 from forest_algebra import compose as compose_forest
+from leaf_fold import beta_path, fold_fraction
 from point_relations import compare, tail_equivalent
 from conftest import (
     random_point,
@@ -174,6 +175,22 @@ def test_fraction_against_oracle(j3, nonsimple4):
             for _ in range(6):
                 p = random_point(rng)
                 assert evaluate(f, p) == stream_oracle.apply_fraction(cls, t, perm, s, p)
+
+
+def test_fraction_matches_per_leaf_folds(j3, nonsimple4, cleary2, rho2):
+    # one walk of each tree gives every leaf's map; the reference folds
+    # each root-to-leaf path on its own, so both compose the same maps
+    rng = random.Random("leaf folds")
+    for cls in (j3, nonsimple4, cleary2, rho2):
+        for _ in range(25):
+            s = random_tree(rng, rng.randint(0, 7))
+            t = random_tree(rng, leaf_count(s) - 1)
+            perm = list(range(1, leaf_count(s) + 1))
+            rng.shuffle(perm)
+            maps = dynamics._leaf_maps(cls, t)
+            assert maps == [beta_path(cls, t, j) for j in range(1, len(maps) + 1)]
+            f = evaluate_fraction(cls, t, tuple(perm), s)
+            assert f == fold_fraction(cls, t, tuple(perm), s)
 
 
 def test_fraction_shape_mismatch(j3):

@@ -404,7 +404,7 @@ def test_expanded_pieces_family(j3):
 def test_canonicalize_preserves_semantics(j3, nonsimple4):
     # the canonical moves (rebalance, merge, collapse, absorb) must not
     # change the represented partial map
-    from fskit.dynamics import beta_path
+    from leaf_fold import beta_path
     from fskit.forest import leaf_count
 
     rng = random.Random(11)

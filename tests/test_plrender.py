@@ -1,24 +1,29 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from fskit import plrender
 from fskit.dynamics import evaluate_fraction, parse_element
 from fskit.eppm import IDENTITY, NotOrderPreserving, evaluate
-from fskit.forest import build_tree, parse_caret_word
+from fskit.forest import build_tree, leaf_count, parse_caret_word
 from fskit.plrender import (
     Dyadic,
     NotCyclicOrderPreserving,
-    cone_left,
+    PlMap,
+    PlPiece,
     decimal_string,
     dyadic,
     emit_csv,
     emit_svg,
-    from_fraction,
     to_circle_map,
     to_interval_map,
 )
 from fskit.sequences import ev_periodic
 
+import fraction_render
+from conftest import random_tree
+from fraction_render import cone_left, from_fraction
 from plmap_reading import breakpoints, fixed_points, parse_csv
 
 
@@ -201,6 +206,80 @@ def test_golden_files(j3):
     m = to_interval_map(yb_ya(j3), 12)
     assert emit_csv(m) == (golden / "yb_ya_j3_depth12.csv").read_text()
     assert emit_svg(m, 512, 512) == (golden / "yb_ya_j3_depth12.svg").read_text()
+    m = to_circle_map(swap_halves(j3), 12)
+    stem = "swap_halves_j3_circle_depth12"
+    assert emit_csv(m) == (golden / f"{stem}.csv").read_text()
+    assert emit_svg(m, 512, 512) == (golden / f"{stem}.svg").read_text()
+
+
+def random_element(cls, kind, rng):
+    """A fraction [t | perm | s] drawn as the kind needs it: the identity
+    permutation for an interval map, a rotation of the leaves for a
+    circle map."""
+    s = random_tree(rng, rng.randint(0, 6))
+    t = random_tree(rng, leaf_count(s) - 1)
+    n = leaf_count(s)
+    shift = rng.randrange(n) if kind == "circle" else 0
+    return evaluate_fraction(cls, t, tuple((j + shift) % n + 1 for j in range(n)), s)
+
+
+@pytest.mark.parametrize("kind", ["interval", "circle"])
+@pytest.mark.parametrize("name", ["j3", "nonsimple4", "cleary2", "rho2"])
+def test_matches_fraction_reference(name, kind, request):
+    # the integer path and the Fraction one give the same PlMap, CSV and
+    # SVG, at depths from 0 past the default and at odd sizes
+    cls = request.getfixturevalue(name)
+    render = to_circle_map if kind == "circle" else to_interval_map
+    reference = getattr(fraction_render, render.__name__)
+    rng = random.Random(f"fraction reference {name} {kind}")
+    for _ in range(12):
+        f = random_element(cls, kind, rng)
+        depth = rng.choice((0, 3, 10, 12, 15))
+        m = render(f, depth)
+        assert m == reference(f, depth)
+        assert emit_csv(m) == emit_csv(reference(f, depth))
+        for width, height in ((512, 512), (3, 7), (511, 3)):
+            assert emit_svg(m, width, height) == fraction_render.emit_svg(m, width, height)
+
+
+def test_circle_continuity_matches_fraction_reference():
+    # joins are compared mod 1: x -> x + 1/2 wraps at 1/2 and is
+    # continuous; a jump of 1/4 at 1/2 or a gap to a truncated piece is
+    # judged as the Fraction path judges it, with the same message
+    half, quarter = dyadic(1, 1), dyadic(1, 2)
+    rotation = (PlPiece(dyadic(0), half, 0, half), PlPiece(half, dyadic(1), 0, dyadic(-1, 1)))
+    jump = (PlPiece(dyadic(0), half, 0, dyadic(0)), PlPiece(half, dyadic(1), 0, quarter))
+    gap = (PlPiece(dyadic(0), quarter, 0, dyadic(0)), PlPiece(half, dyadic(1), 0, quarter))
+    for pieces, message in ((rotation, None), (jump, "discontinuity at 0.5: 1/2 vs 3/4"), (gap, None)):
+        m = PlMap(pieces, (), 2, "circle")
+        for check in (plrender._validate_circle_continuity, fraction_render._validate_circle_continuity):
+            if message is None:
+                check(m)
+            else:
+                with pytest.raises(NotCyclicOrderPreserving, match=message):
+                    check(m)
+
+
+def test_svg_rounds_ties_to_even(j3):
+    # x = k/2^10 with k odd at an odd size s has 10th decimal 5 and nothing
+    # after it: an exact tie at 9 decimals, rounded to the even neighbour
+    m = PlMap((PlPiece(dyadic(1, 10), dyadic(3, 10), 0, dyadic(0)),), (), 10, "interval")
+    svg = emit_svg(m, 3, 7)
+    assert svg == fraction_render.emit_svg(m, 3, 7)
+    assert 'x1="0.002929688"' in svg  # 0.0029296875, up to even
+    assert 'x2="0.008789062"' in svg  # 0.0087890625, down to even
+    # a drawn element reaches the tie in both directions at depth 10 and
+    # past, in its x coordinates and in its y = 1 - image ones
+    f = yb_ya(j3)
+    for depth in (10, 12):
+        m = to_interval_map(f, depth)
+        ends = [x for p in m.pieces for x in (p.left.value, p.right.value)]
+        ends += [1 - p.apply(x) for p in m.pieces for x in (p.left.value, p.right.value)]
+        for size in (3, 7, 511):
+            scaled = [size * x * 10**9 for x in ends]
+            ties = [int(t) for t in scaled if t.denominator == 2]
+            assert {t % 2 for t in ties} == {0, 1}
+            assert emit_svg(m, size, size) == fraction_render.emit_svg(m, size, size)
 
 
 def test_circle_rejects_v_type(j3):
