@@ -35,7 +35,6 @@ from .eppm import (
     canonicalize,
     compose,
     eq_runs,
-    equals,
     evaluate,
     invert,
     is_total,
@@ -426,15 +425,18 @@ def bi_order_compare(f: Eppm, g: Eppm) -> str:
     """Compare f and g in the bi-order of the order-preserving group:
     'less', 'equal', or 'greater'.  f > g iff f o g^-1 exceeds the identity,
     decided by the slope at the first deviating cone."""
+    forms = []
     for m in (f, g):
         m = _total_form(
             m, NotBijective("the bi-order requires a bijection of the Cantor space")
         )
         if not is_order_preserving(m):
             raise NotOrderPreserving("bi-order needs order-preserving inputs")
-    if equals(f, g):
+        forms.append(m)
+    f, g = forms
+    if f == g:
         return "equal"
-    h = canonicalize(compose(f, invert(g)))
+    h = compose(f, invert(g))
     deviation = _first_deviation(h)
     if deviation is None:
         raise EppmError("unequal maps but no piece deviates from the identity")

@@ -18,9 +18,10 @@ canonicalize folds it back.
 canonicalize builds a unique normal form in one pass (see "normal form"
 below), so two Eppms denote the same partial map exactly when their
 normal forms are ==, and that is all equals does.  Domains are decided on
-the normal form too: dom(f) lies in dom(g) exactly when the identity on
-dom(f), composed with the identity on dom(g), keeps the form of the
-identity on dom(f) (region_subset, and is_total from it).
+the normal form too: f is total exactly when the normal form of the
+identity on dom(f) is the identity (is_total), and dom(f) lies in dom(g)
+exactly when the identity on dom(f), composed with the identity on dom(g),
+keeps the form of the identity on dom(f) (region_subset).
 Composition through a family is exact: f is restricted once to the
 family's range cone, and the layers are unrolled only down to a roof
 placed from what acts there.  Below it one piece covers the roof, or only
@@ -115,9 +116,6 @@ class Eppm:
     @property
     def atoms(self) -> tuple[Atom, ...]:
         return self.pieces + self.families
-
-    def is_empty(self) -> bool:
-        return not (self.pieces or self.families or self.limits)
 
     def __str__(self) -> str:
         parts = [f"({p.dom or 'e'}->{p.ran or 'e'})" for p in self.pieces]
@@ -302,16 +300,6 @@ def invert(f: Eppm) -> Eppm:
 # composition: compose(f, g) applies g first, then f
 
 
-def _pullback(atoms: Eppm, new: str, old: str) -> tuple[list[Piece], list[Family]]:
-    """Rename the leading `old` of every dom base to `new` (all bases in
-    `atoms` extend `old`)."""
-    pieces = [Piece(new + p.dom[len(old) :], p.ran) for p in atoms.pieces]
-    fams = [
-        replace(fam, dom_base=new + fam.dom_base[len(old) :]) for fam in atoms.families
-    ]
-    return pieces, fams
-
-
 def compose(f: Eppm, g: Eppm) -> Eppm:
     """The map x -> f(g(x)) on its natural domain."""
     pieces: list[Piece] = []
@@ -321,17 +309,19 @@ def compose(f: Eppm, g: Eppm) -> Eppm:
     for p in g.pieces:
         _compose_through_piece(f, p, pieces, fams)
     for fam in g.families:
-        _compose_through_family(f, fam, pieces, fams, limits)
+        _compose_through_family(f, fam, pieces, fams)
 
-    for lp, lq in g.limits:
+    # the points where no piece acts: g's limits, those its families carry
+    # and its isolated ones, go through f; f's isolated limits back through g
+    g_limits = [(fam.limit_dom, fam.limit_ran) for fam in g.families if fam.carries_limit]
+    for lp, lq in g_limits + list(g.limits):
         try:
             limits.append((lp, evaluate(f, lq)))
         except UndefinedAt:
             pass
-    ginv = invert(g)
     for fq, fy in f.limits:
         try:
-            limits.append((evaluate(ginv, fq), fy))
+            limits.append((evaluate(invert(g), fq), fy))
         except UndefinedAt:
             pass
 
@@ -341,18 +331,18 @@ def compose(f: Eppm, g: Eppm) -> Eppm:
 def _compose_through_piece(
     f: Eppm, g_piece: Piece, pieces: list[Piece], fams: list[Family]
 ) -> None:
-    sub = restrict(f, g_piece.ran)
-    ps, fs = _pullback(sub, g_piece.dom, g_piece.ran)
-    pieces.extend(ps)
-    fams.extend(fs)
+    """Compose f through g_piece: f's atoms in the cone g_piece.ran, with
+    that prefix of every dom renamed to g_piece.dom."""
+    new, old = g_piece.dom, g_piece.ran
+    sub = restrict(f, old)
+    pieces.extend(Piece(new + p.dom[len(old) :], p.ran) for p in sub.pieces)
+    fams.extend(
+        replace(fam, dom_base=new + fam.dom_base[len(old) :]) for fam in sub.families
+    )
 
 
 def _compose_through_family(
-    f: Eppm,
-    g_fam: Family,
-    pieces: list[Piece],
-    fams: list[Family],
-    limits: list[LimitPair],
+    f: Eppm, g_fam: Family, pieces: list[Piece], fams: list[Family]
 ) -> None:
     """Compose f through the pieces of g_fam: its layers below m0 one by
     one, the rest under the roof rb.1^(m0 c') all at once.
@@ -405,12 +395,6 @@ def _compose_through_family(
     for m in range(m0):
         for block in g_fam.blocks:
             _compose_through_piece(f, g_fam.piece_at(m, block), pieces, fams)
-
-    if g_fam.carries_limit:
-        try:
-            limits.append((ev_periodic(db, "1"), evaluate(f, ev_periodic(rb, "1"))))
-        except UndefinedAt:
-            pass
 
     roof = rb + _ones(m0 * cp)
     sub = restrict(f, roof)
@@ -717,7 +701,9 @@ def region_subset(f: Eppm, g: Eppm) -> bool:
 
 
 def is_total(f: Eppm) -> bool:
-    return region_subset(IDENTITY, f)
+    """Whether dom(f) is the whole space: the identity on dom(f) has the
+    normal form of the identity."""
+    return canonicalize(_domain(f)) == IDENTITY
 
 
 # ---------------------------------------------------------------------------

@@ -77,13 +77,6 @@ class TwoColourRightVine:
     R_x: int  # length of the right side of x
     leaves: tuple[str, ...]  # addresses of the leaves of x
 
-    @property
-    def is_vine_pair(self) -> bool:
-        """True when x itself is the right-vine (the degenerate x = rho case)."""
-        return self.leaves == tuple("1" * (i) + "0" for i in range(self.n - 1)) + (
-            "1" * (self.n - 1),
-        )
-
 
 class General:
     """Marker for presentations outside the supported dynamics class."""

@@ -24,6 +24,13 @@ def vine_class(text: str) -> TwoColourRightVine:
     return cls
 
 
+def is_vine_pair(cls: TwoColourRightVine) -> bool:
+    """True when x itself is the right-vine (the degenerate x = rho case)."""
+    return cls.leaves == tuple("1" * (i) + "0" for i in range(cls.n - 1)) + (
+        "1" * (cls.n - 1),
+    )
+
+
 # the two flagship presentations
 J3_TEXT = "colors a b\nrel a1 a1 a3 = b1 b2 b3\n"
 NONSIMPLE4_TEXT = "colors a b\nrel a1 a1 a3 a4 = b1 b2 b3 b4\n"

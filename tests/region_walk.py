@@ -14,6 +14,10 @@ from fskit.eppm import IDENTITY, Eppm, compose, eq_runs, in_domain, invert, rest
 from fskit.sequences import ev_periodic
 
 
+def _is_empty(f: Eppm) -> bool:
+    return not (f.pieces or f.families or f.limits)
+
+
 def _region_key(f: Eppm, w: str):
     pieces = tuple(sorted(p.dom[len(w) :] for p in f.pieces))
     fams = tuple(
@@ -38,11 +42,11 @@ def region_subset(f: Eppm, g: Eppm) -> bool:
     in_progress: dict = {}
 
     def walk(w: str, rf: Eppm, rg: Eppm) -> bool:
-        if rf.is_empty():
+        if _is_empty(rf):
             return True
         if any(p.dom == w for p in rg.pieces):
             return True  # g is defined on the whole cone
-        if rg.is_empty():
+        if _is_empty(rg):
             return False
         if not rf.pieces and not rf.families:
             # only isolated points of f remain below w

@@ -37,6 +37,7 @@ from conftest import (
     J3_TEXT,
     NONSIMPLE4_TEXT,
     RHO2_TEXT,
+    is_vine_pair,
     random_point,
     random_signed_word,
     random_tree,
@@ -375,7 +376,7 @@ def test_criterion_10_fge_behaviour():
             cls = vine_class(text)
             b1 = b1_of(cls)
             sing_b1 = singular_points(b1)
-            if cls.is_vine_pair:
+            if is_vine_pair(cls):
                 assert sing_b1 == (), name
             else:
                 assert sing_b1 == (parse_point("(1)"),), name
@@ -391,5 +392,5 @@ def test_criterion_10_fge_behaviour():
                 sing = singular_points(f)
                 assert isinstance(sing, tuple)  # finite by representation
                 assert all(q.has_tail("1") for q in sing)
-                if cls.is_vine_pair:
+                if is_vine_pair(cls):
                     assert sing == (), name

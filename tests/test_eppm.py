@@ -30,6 +30,7 @@ from fskit.sequences import ev_periodic, parse_point
 from conftest import (
     J3_TEXT,
     expanded_pieces,
+    random_fraction,
     random_point,
     random_signed_word,
     vine_class,
@@ -118,6 +119,76 @@ def test_compose_pointwise(j3, nonsimple4):
                     assert not in_domain(h, p)
                     continue
                 assert evaluate(h, p) == expected
+    # random points almost never hit a limit point, where compose reads what
+    # g's families carry, g's isolated limits and f's isolated limits
+    seen = {"carried": 0, "open": 0, "isolated": 0, "defined": 0, "undefined": 0}
+    for cls in (j3, nonsimple4):
+        for _ in range(40):
+            f = _cut_at_a_limit(_random_map(cls, rng), rng)
+            g = _cut_at_a_limit(_random_map(cls, rng), rng)
+            for fam in g.families:
+                seen["carried" if fam.carries_limit else "open"] += 1
+            seen["isolated"] += len(f.limits) + len(g.limits)
+            h = compose(f, g)
+            points = [*_limit_points(f), *_limit_points(g), *_limit_points(h)]
+            for q in _limit_points(f):
+                try:
+                    points.append(evaluate(invert(g), q))
+                except UndefinedAt:
+                    pass
+            for p in points:
+                try:
+                    expected = evaluate(f, evaluate(g, p))
+                except UndefinedAt:
+                    assert not in_domain(h, p)
+                    seen["undefined"] += 1
+                    continue
+                assert evaluate(h, p) == expected
+                seen["defined"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def _random_map(cls, rng: random.Random):
+    """A random fraction, a short signed word, or the inverse of either."""
+    if rng.random() < 0.6:
+        f = random_fraction(cls, rng)
+    else:
+        f = evaluate_word(cls, random_signed_word(rng, rng.randint(1, 3)))
+    return invert(f) if rng.random() < 0.3 else f
+
+
+def _cut_at_a_limit(f, rng: random.Random):
+    """f as it is, with one family's limit taken out (an open tail), or cut
+    down to a cone and one point outside it (an isolated limit, where f is
+    defined at the point)."""
+    cut = rng.randrange(3)
+    if cut == 1 and f.families:
+        fams = list(f.families)
+        i = rng.randrange(len(fams))
+        fams[i] = replace(fams[i], carries_limit=False)
+        return make_eppm(f.pieces, fams, f.limits)
+    if cut == 2:
+        u, v = ("".join(rng.choice("01") for _ in range(rng.randint(1, 4))) for _ in "uv")
+        if u[0] == v[0]:
+            v = str(1 - int(v[0])) + v[1:]
+        point = ev_periodic(v, "1")
+        sub = restrict(f, u)
+        if in_domain(f, point):
+            limit = (point, evaluate(f, point))
+            sub = make_eppm(sub.pieces, sub.families, sub.limits + (limit,))
+        return sub
+    return f
+
+
+def _limit_points(f):
+    """The limit points of f's families and its isolated limits, and their
+    images."""
+    for fam in f.families:
+        yield fam.limit_dom
+        yield fam.limit_ran
+    for p, q in f.limits:
+        yield p
+        yield q
 
 
 def test_prune_identity_j3(j3):
@@ -325,6 +396,24 @@ def test_region_subset_and_total(j3):
     isolated = make_eppm(limits=[(point, ev_periodic("0", "1"))])
     assert region_subset(isolated, f) and not region_subset(isolated, open_tail)
     assert not region_subset(isolated, make_eppm(pieces=[Piece("0", "0")]))
+
+
+def test_totality_is_decided_without_composing(j3, monkeypatch):
+    # is_total reads the normal form of the identity on dom(f); a fault in
+    # eppm.compose must not reach the bijection checks
+    import fskit.eppm
+    from fskit.dynamics import classify_element, parse_element
+
+    def broken(f, g):
+        raise AssertionError("is_total composed")
+
+    monkeypatch.setattr(fskit.eppm, "compose", broken)
+    f = b1(j3)
+    assert is_total(f)
+    assert not is_total(invert(f))
+    element = parse_element(j3, "[b1 | id | a1]")
+    assert str(element) == "{[e|1^2 -> e|1^2: 0->00, 100->01, 101->10]}"
+    assert classify_element(element) == "F"
 
 
 def test_canonicalize_merges_siblings():

@@ -18,6 +18,7 @@ SOURCES = sorted((ROOT / "src" / "fskit").glob("*.py"))
 DOCUMENTED = {
     ("dynamics", "germ_at"): "`germ_at(f, p)`",
     ("dynamics", "support"): "`support(f)`",
+    ("eppm", "region_subset"): "`region_subset(f, g)`",
     ("presentation", "enumerate_good_words"): "`enumerate_good_words(cls, max_len)`",
 }
 

@@ -18,7 +18,14 @@ from fskit.presentation import (
     validate,
 )
 
-from conftest import presentation, vine_class, J3_TEXT, NONSIMPLE4_TEXT, CLEARY2_TEXT
+from conftest import (
+    CLEARY2_TEXT,
+    J3_TEXT,
+    NONSIMPLE4_TEXT,
+    is_vine_pair,
+    presentation,
+    vine_class,
+)
 from good_word_reference import good_word_check, is_trivial_good_word
 
 
@@ -96,8 +103,8 @@ def test_classify_general():
 
 def test_classify_x_equals_rho():
     cls = vine_class("colors a b\nrel a1 a2 = b1 b2\n")
-    assert cls.is_vine_pair
-    assert not vine_class(J3_TEXT).is_vine_pair
+    assert is_vine_pair(cls)
+    assert not is_vine_pair(vine_class(J3_TEXT))
 
 
 def test_abelianisation_values():
@@ -256,5 +263,5 @@ def test_single_caret_relation():
     cls = classify(p)
     assert isinstance(cls, TwoColourRightVine)
     assert (cls.L_x, cls.R_x, cls.M, cls.n) == (1, 1, 1, 2)
-    assert cls.is_vine_pair
+    assert is_vine_pair(cls)
     assert abelianisation(p) == AbelianInvariants(0, ())
