@@ -33,7 +33,7 @@ from .presentation import (
     require_class,
     validate,
 )
-from .sequences import PointSyntaxError, parse_point
+from .sequences import parse_point
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,24 +41,17 @@ EXIT_INVALID = 2
 EXIT_COLLAPSE = 10
 
 
-def _load(path: str) -> SkeinPresentation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_presentation(fh.read(), name=path)
-
-
 def _element(p: SkeinPresentation, text: str):
     return dynamics.parse_element(require_class(p), text)
 
 
-def cmd_validate(args) -> int:
-    p = _load(args.presentation)
+def cmd_validate(p: SkeinPresentation, args) -> int:
     validate(p)
     print("ok")
     return EXIT_OK
 
 
-def cmd_classify(args) -> int:
-    p = _load(args.presentation)
+def cmd_classify(p: SkeinPresentation, args) -> int:
     cls = classify(p)
     if cls is GENERAL:
         print("General")
@@ -70,8 +63,7 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def cmd_abelianize(args) -> int:
-    p = _load(args.presentation)
+def cmd_abelianize(p: SkeinPresentation, args) -> int:
     inv = abelianisation(p)
     if args.json:
         print(json.dumps({"rank": inv.rank, "torsion": list(inv.torsion)}))
@@ -80,8 +72,7 @@ def cmd_abelianize(args) -> int:
     return EXIT_OK
 
 
-def cmd_germs(args) -> int:
-    p = _load(args.presentation)
+def cmd_germs(p: SkeinPresentation, args) -> int:
     end = End.FIRST if args.end == "first" else End.LAST
     out = germ_presentation(p, end)
     if args.json:
@@ -98,16 +89,14 @@ def cmd_germs(args) -> int:
     return EXIT_OK
 
 
-def cmd_check_simple(args) -> int:
-    p = _load(args.presentation)
+def cmd_check_simple(p: SkeinPresentation, args) -> int:
     cls = require_class(p)
     report = probe_mod.probe(cls, args.max_len, presentation_name=p.name)
     print(report.to_json())
     return EXIT_COLLAPSE if report.outcome == "CollapseFound" else EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    p = _load(args.presentation)
+def cmd_eval(p: SkeinPresentation, args) -> int:
     f = _element(p, args.element)
     point = parse_point(args.point)
     try:
@@ -125,8 +114,7 @@ def _two_elements(args):
     return args.elements
 
 
-def cmd_equal(args) -> int:
-    p = _load(args.presentation)
+def cmd_equal(p: SkeinPresentation, args) -> int:
     e1, e2 = _two_elements(args)
     f = _element(p, e1)
     g = _element(p, e2)
@@ -134,20 +122,17 @@ def cmd_equal(args) -> int:
     return EXIT_OK
 
 
-def cmd_canon(args) -> int:
-    p = _load(args.presentation)
+def cmd_canon(p: SkeinPresentation, args) -> int:
     print(str(canonicalize(_element(p, args.element))))
     return EXIT_OK
 
 
-def cmd_classify_element(args) -> int:
-    p = _load(args.presentation)
+def cmd_classify_element(p: SkeinPresentation, args) -> int:
     print(dynamics.classify_element(_element(p, args.element)))
     return EXIT_OK
 
 
-def cmd_singular(args) -> int:
-    p = _load(args.presentation)
+def cmd_singular(p: SkeinPresentation, args) -> int:
     pts = dynamics.singular_points(_element(p, args.element))
     if args.json:
         print(json.dumps([str(q) for q in pts]))
@@ -156,8 +141,7 @@ def cmd_singular(args) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    p = _load(args.presentation)
+def cmd_compare(p: SkeinPresentation, args) -> int:
     e1, e2 = _two_elements(args)
     f = _element(p, e1)
     g = _element(p, e2)
@@ -165,8 +149,7 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def cmd_plot(args) -> int:
-    p = _load(args.presentation)
+def cmd_plot(p: SkeinPresentation, args) -> int:
     f = _element(p, args.element)
     if args.kind == "circle":
         m = plrender.to_circle_map(f, args.depth)
@@ -251,11 +234,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.fn(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (PointSyntaxError, ValueError) as exc:
+        with open(args.presentation, "r", encoding="utf-8") as fh:
+            p = parse_presentation(fh.read(), name=args.presentation)
+        return args.fn(p, args)
+    except (FileNotFoundError, ValueError) as exc:
+        # a PointSyntaxError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (PresentationError, ForestError, EppmError) as exc:

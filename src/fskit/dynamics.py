@@ -34,7 +34,6 @@ from .eppm import (
     atom_at,
     canonicalize,
     compose,
-    eq_runs,
     evaluate,
     invert,
     is_total,
@@ -223,10 +222,10 @@ def _pad_key(word: str):
     return tuple(int(ch) for ch in word)
 
 
-def _ran_keys(f: Eppm, test: str) -> Optional[list[tuple[int, ...]]]:
-    """Keys of the least range cone of each atom of the total map f, in
-    domain order; None if some family's own ranges are out of order."""
-    f = _total_form(f, NotTotal(f"{test} requires a total map"))
+def _ran_keys(f: Eppm) -> Optional[list[tuple[int, ...]]]:
+    """Keys of the least range cone of each atom of the checked total
+    normal form f, in domain order; None if some family's own ranges are
+    out of order."""
     if not all(_family_ran_sorted(fam) for fam in f.families):
         return None
     entries = [(p.dom, p.ran) for p in f.pieces]
@@ -237,17 +236,25 @@ def _ran_keys(f: Eppm, test: str) -> Optional[list[tuple[int, ...]]]:
     return [_pad_key(r) for _, r in entries]
 
 
-def is_order_preserving(f: Eppm) -> bool:
-    rans = _ran_keys(f, "order test")
+def _ascending(rans: Optional[list[tuple[int, ...]]]) -> bool:
     return rans is not None and all(a < b for a, b in zip(rans, rans[1:]))
 
 
-def is_cyclic_order_preserving(f: Eppm) -> bool:
-    rans = _ran_keys(f, "cyclic order test")
+def _cyclically_ascending(rans: Optional[list[tuple[int, ...]]]) -> bool:
     if rans is None:
         return False
     descents = sum(1 for a, b in zip(rans, rans[1:] + rans[:1]) if not a < b)
     return descents <= 1
+
+
+def is_order_preserving(f: Eppm) -> bool:
+    f = _total_form(f, NotTotal("order test requires a total map"))
+    return _ascending(_ran_keys(f))
+
+
+def is_cyclic_order_preserving(f: Eppm) -> bool:
+    f = _total_form(f, NotTotal("cyclic order test requires a total map"))
+    return _cyclically_ascending(_ran_keys(f))
 
 
 def classify_element(f: Eppm) -> str:
@@ -256,11 +263,10 @@ def classify_element(f: Eppm) -> str:
     f = _total_form(
         f, NotBijective("F/T/V membership requires a bijection of the Cantor space")
     )
-    if is_order_preserving(f):
+    rans = _ran_keys(f)
+    if _ascending(rans):
         return "F"
-    if is_cyclic_order_preserving(f):
-        return "T"
-    return "V"
+    return "T" if _cyclically_ascending(rans) else "V"
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +289,13 @@ class FixedLadder:
 @dataclass(frozen=True)
 class Support:
     """Where a total map is the identity, read off its normal form, so that
-    every writing of the map gets the same Support.  A family's fixed
-    points, its layer 0 included, are reported only as fixed_ladders;
-    fixed_points holds the fixed points of pieces, of family limits and of
-    isolated limits."""
+    every writing of the map gets the same Support.  fixed_cones lists only
+    cones on which f is the identity: the domains of the pieces dom -> dom.
+    moved_cones lists the other pieces' domains and, once each, the bases
+    of the families: no family base is fixed, since the normal form writes
+    the identity on a whole cone as one piece.  A family's fixed points,
+    its layer 0 included, are reported only as fixed_ladders; fixed_points
+    holds the fixed points of pieces and of family limits."""
 
     fixed_cones: tuple[str, ...]
     fixed_points: tuple[EvPeriodic, ...]
@@ -323,13 +332,6 @@ def support(f: Eppm) -> Support:
             fixed_points.append(fp)
 
     for fam in f.families:
-        identity = all(
-            eq_runs(fam.dom_base, fam.dom_step, d, fam.ran_base, fam.ran_step, r)
-            for d, r in fam.blocks
-        )
-        if identity:
-            fixed_cones.append(fam.dom_base)
-            continue
         moved.append(fam.dom_base)
         if fam.carries_limit and fam.limit_dom == fam.limit_ran:
             fixed_points.append(fam.limit_dom)
@@ -344,17 +346,11 @@ def support(f: Eppm) -> Support:
             if w0 == w1 and w0:
                 ladders.append(FixedLadder(fam.dom_base, fam.dom_step, block[0], w0))
 
-    for p, q in f.limits:
-        if p == q:
-            fixed_points.append(p)
-        else:
-            moved.append(str(p))
-
     return Support(
         tuple(sorted(fixed_cones)),
         tuple(sorted(dict.fromkeys(fixed_points), key=lambda e: (e.pre, e.per))),
         tuple(sorted(dict.fromkeys(ladders), key=lambda l: (l.base, l.suffix))),
-        tuple(sorted(moved)),
+        tuple(sorted(dict.fromkeys(moved))),
     )
 
 
@@ -424,13 +420,16 @@ def germ_at(f: Eppm, p: EvPeriodic) -> Germ:
 def bi_order_compare(f: Eppm, g: Eppm) -> str:
     """Compare f and g in the bi-order of the order-preserving group:
     'less', 'equal', or 'greater'.  f > g iff f o g^-1 exceeds the identity,
-    decided by the slope at the first deviating cone."""
+    decided by the slope at the first deviating cone.  Every point before
+    that cone is fixed, so its image starts where the cone starts: one of
+    dom and ran extends the other by 0s, and ran is the shorter exactly
+    when the slope there is above 1."""
     forms = []
     for m in (f, g):
         m = _total_form(
             m, NotBijective("the bi-order requires a bijection of the Cantor space")
         )
-        if not is_order_preserving(m):
+        if not _ascending(_ran_keys(m)):
             raise NotOrderPreserving("bi-order needs order-preserving inputs")
         forms.append(m)
     f, g = forms
@@ -441,9 +440,7 @@ def bi_order_compare(f: Eppm, g: Eppm) -> str:
     if deviation is None:
         raise EppmError("unequal maps but no piece deviates from the identity")
     dom, ran = deviation
-    if len(dom) != len(ran):
-        return "greater" if len(dom) > len(ran) else "less"
-    return "greater" if ran > dom else "less"
+    return "greater" if len(dom) > len(ran) else "less"
 
 
 def _first_deviation(h: Eppm) -> Optional[tuple[str, str]]:
@@ -452,9 +449,9 @@ def _first_deviation(h: Eppm) -> Optional[tuple[str, str]]:
     its first deviating layer.
 
     That layer is 0 or 1, or there is none: with equal steps, a block that
-    is the identity at layers 0 and 1 is the identity at every layer
-    (eq_runs), and with unequal steps dom and ran have equal lengths at
-    one layer at most."""
+    is the identity at layers 0 and 1 is the identity at every layer (two
+    words p.1^{mk}.s that agree at m = 0 and 1 agree for every m), and with
+    unequal steps dom and ran have equal lengths at one layer at most."""
     candidates = []
     for p in h.pieces:
         if p.dom != p.ran:

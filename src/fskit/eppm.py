@@ -143,23 +143,6 @@ def make_eppm(
 
 
 # ---------------------------------------------------------------------------
-# symbolic string families:  p . 1^{m k} . s
-
-
-def eq_runs(p1: str, k1: int, s1: str, p2: str, k2: int, s2: str) -> bool:
-    """Whether p1.1^{m k1}.s1 == p2.1^{m k2}.s2 for every m >= 0.
-
-    Layers 0 and 1 decide it.  With k1 != k2 the lengths agree at one m
-    at most.  With k1 == k2 = k, say p2 = p1.e (else swap the sides):
-    layer 0 gives s1 = e.s2, and layer 1 then gives 1^k.e = e.1^k.  Words
-    that commute are powers of one word, so e is a run of 1s, which
-    commutes with every 1^(mk)."""
-    return k1 == k2 and all(
-        p1 + _ones(m * k1) + s1 == p2 + _ones(m * k2) + s2 for m in (0, 1)
-    )
-
-
-# ---------------------------------------------------------------------------
 # restriction to a cone
 
 
@@ -319,9 +302,10 @@ def compose(f: Eppm, g: Eppm) -> Eppm:
             limits.append((lp, evaluate(f, lq)))
         except UndefinedAt:
             pass
+    g_inv = invert(g) if f.limits else None
     for fq, fy in f.limits:
         try:
-            limits.append((evaluate(invert(g), fq), fy))
+            limits.append((evaluate(g_inv, fq), fy))
         except UndefinedAt:
             pass
 

@@ -10,8 +10,21 @@ It never compares normal forms, so it also checks fskit's own
 
 from __future__ import annotations
 
-from fskit.eppm import IDENTITY, Eppm, compose, eq_runs, in_domain, invert, restrict
+from fskit.eppm import IDENTITY, Eppm, _ones, compose, in_domain, invert, restrict
 from fskit.sequences import ev_periodic
+
+
+def eq_runs(p1: str, k1: int, s1: str, p2: str, k2: int, s2: str) -> bool:
+    """Whether p1.1^{m k1}.s1 == p2.1^{m k2}.s2 for every m >= 0.
+
+    Layers 0 and 1 decide it.  With k1 != k2 the lengths agree at one m
+    at most.  With k1 == k2 = k, say p2 = p1.e (else swap the sides):
+    layer 0 gives s1 = e.s2, and layer 1 then gives 1^k.e = e.1^k.  Words
+    that commute are powers of one word, so e is a run of 1s, which
+    commutes with every 1^(mk)."""
+    return k1 == k2 and all(
+        p1 + _ones(m * k1) + s1 == p2 + _ones(m * k2) + s2 for m in (0, 1)
+    )
 
 
 def _is_empty(f: Eppm) -> bool:

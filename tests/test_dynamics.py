@@ -24,6 +24,7 @@ from fskit.eppm import (
     Family,
     IDENTITY,
     NotBijective,
+    NotOrderPreserving,
     Piece,
     UndefinedAt,
     canonicalize,
@@ -31,6 +32,7 @@ from fskit.eppm import (
     equals,
     evaluate,
     invert,
+    is_total,
     make_eppm,
     restrict,
 )
@@ -279,6 +281,36 @@ def test_non_bijections_have_no_class_and_no_order(j3):
             bi_order_compare(f, m)
 
 
+def test_family_with_unsorted_ranges_is_v_type():
+    # a total bijection whose one family swaps its two blocks in every
+    # layer: it reverses the order of infinitely many pairs of cones
+    f = make_eppm(families=[Family("", "", 1, 1, (("00", "01"), ("01", "00")))])
+    assert str(canonicalize(f)) == "{[e|1^1 -> e|1^1: 00->01, 01->00]}"
+    assert not is_order_preserving(f)
+    assert not is_cyclic_order_preserving(f)
+    assert classify_element(f) == "V"
+
+
+def test_each_query_checks_totality_once(j3, monkeypatch):
+    # one bijection gate, is_total on f and on its inverse, per input
+    v = parse_element(j3, "[a1 a1 | 2 1 3 | a1 a1]")
+    f, g = parse_element(j3, "[b1 | id | a1]"), parse_element(j3, "[a1 | id | a1]")
+    calls = []
+    monkeypatch.setattr(dynamics, "is_total", lambda m: calls.append(m) or is_total(m))
+    assert classify_element(v) == "V"
+    assert len(calls) == 2
+    calls.clear()
+    assert bi_order_compare(f, g) == "less"
+    assert len(calls) == 4
+
+
+def test_bi_order_rejects_a_bijection_that_is_not_order_preserving(j3):
+    with pytest.raises(NotOrderPreserving):
+        bi_order_compare(parse_element(j3, "[a1 | 2 1 | a1]"), IDENTITY)
+    with pytest.raises(NotOrderPreserving):
+        bi_order_compare(IDENTITY, parse_element(j3, "[a1 | 2 1 | a1]"))
+
+
 def test_f_type_fractions_all_order_preserving(j3, nonsimple4, cleary2, rho2):
     rng = random.Random(6)
     for cls in (j3, nonsimple4, cleary2, rho2):
@@ -318,6 +350,22 @@ def test_support_after_cancel(j3):
     s = support(h)
     assert s.fixed_cones == ("",)
     assert not s.moved_cones
+
+
+def test_support_lists_a_family_base_as_moved_only():
+    # the first family is the identity on 1^m.00, but the second sends
+    # 1^m.01 to 1^(2m).01, so the base cone e is moved, not fixed
+    f = make_eppm(
+        families=[
+            Family("", "", 1, 1, (("00", "00"),)),
+            Family("", "", 1, 2, (("01", "01"),)),
+        ]
+    )
+    assert evaluate(f, parse_point("101(0)")) == parse_point("1101(0)")
+    s = support(f)
+    assert s.fixed_cones == ()
+    assert s.moved_cones == ("",)
+    assert s.fixed_points == (parse_point("(1)"),)
 
 
 def test_support_reads_the_map_not_its_writing(j3, nonsimple4, cleary2, rho2):
@@ -462,7 +510,12 @@ def test_first_deviation_matches_layer_scan(j3, nonsimple4):
     for cls in (j3, nonsimple4):
         for _ in range(20):
             h = compose(order_preserving(cls), invert(order_preserving(cls)))
-            assert dynamics._first_deviation(h) == first_deviation_by_scan(h)
+            deviation = dynamics._first_deviation(h)
+            assert deviation == first_deviation_by_scan(h)
+            if deviation is not None:
+                # the image starts where the first deviating cone starts
+                short, long = sorted(deviation, key=len)
+                assert len(short) < len(long) and long == short.ljust(len(long), "0")
 
 
 def test_bi_order_yb_ya_less(j3):

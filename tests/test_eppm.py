@@ -13,7 +13,6 @@ from fskit.eppm import (
     UndefinedAt,
     canonicalize,
     compose,
-    eq_runs,
     equals,
     evaluate,
     in_domain,
@@ -35,7 +34,7 @@ from conftest import (
     random_signed_word,
     vine_class,
 )
-from region_walk import is_identity_on_domain, region_equal
+from region_walk import eq_runs, is_identity_on_domain, region_equal
 
 
 def b1(cls):
@@ -439,6 +438,12 @@ def validate_disjoint(f, depth: int = 64) -> None:
             for v in words[i + 1 :]:
                 if u.startswith(v) or v.startswith(u):
                     raise EppmError(f"{side} overlap: {u!r} vs {v!r}")
+
+
+def test_str_writes_isolated_limits():
+    f = make_eppm(limits=[(parse_point("(1)"), parse_point("(0)"))])
+    assert str(f) == "{{(1)->(0)}}"
+    assert evaluate(f, parse_point("(1)")) == parse_point("(0)")
 
 
 def test_validate_disjoint(j3, nonsimple4):
