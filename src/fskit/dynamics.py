@@ -99,10 +99,21 @@ def parse_signed_word(text: str) -> SignedWord:
 
 def _total_form(f: Eppm, error: EppmError) -> Eppm:
     """The normal form of f.  Raises `error` unless f is total, and, when
-    `error` is a NotBijective, unless its inverse is total too."""
+    `error` is a NotBijective, unless its inverse is total too.
+
+    The form is marked `total`, and then `bijective`, only once that check
+    has passed, and a check whose mark is set is skipped: the marks are
+    facts about the map, so a form checked at parse time is not checked
+    again by the query that reads it."""
     f = canonicalize(f)
-    if not is_total(f) or isinstance(error, NotBijective) and not is_total(invert(f)):
-        raise error
+    if not f.total:
+        if not is_total(f):
+            raise error
+        object.__setattr__(f, "total", True)
+    if isinstance(error, NotBijective) and not f.bijective:
+        if not is_total(invert(f)):
+            raise error
+        object.__setattr__(f, "bijective", True)
     return f
 
 
@@ -110,18 +121,39 @@ def _total_form(f: Eppm, error: EppmError) -> Eppm:
 # fractions [t, pi, s]
 
 
+# paths of at most this many carets have their maps memoised: at most
+# 4 + 16 + 64 + 256 = 340 entries per class
+_MEMO_DEPTH = 4
+
+
+@cache
+def _path_map(cls: TwoColourRightVine, path: tuple[tuple[str, int], ...]) -> Eppm:
+    """beta along a non-empty path of (colour, direction) carets, root caret
+    outermost; memoised, as caret_map is.  Only _leaf_maps calls it, on
+    paths of at most _MEMO_DEPTH carets, which bounds the memo."""
+    head = _path_map(cls, path[:-1]) if len(path) > 1 else IDENTITY
+    return compose(head, caret_map(cls, *path[-1]))
+
+
 def _leaf_maps(cls: TwoColourRightVine, t: Tree) -> list[Eppm]:
     """beta(t, leaf) for every leaf of t, left to right: the caret maps
     composed down the root-to-leaf path, root caret outermost, each path
-    prefix composed once."""
-    out, stack = [], [(t, IDENTITY)]
+    prefix composed once.  A node at most _MEMO_DEPTH carets deep takes its
+    map from the per-process memo _path_map; a deeper node composes one
+    caret onto its parent's map."""
+    out, stack = [], [(t, (), IDENTITY)]
     while stack:
-        node, acc = stack.pop()
+        node, path, acc = stack.pop()
         if node.is_leaf:
             out.append(acc)
             continue
         for direction, child in ((1, node.right), (0, node.left)):
-            stack.append((child, compose(acc, caret_map(cls, node.colour, direction))))
+            if len(path) < _MEMO_DEPTH:
+                step = path + ((node.colour, direction),)
+                stack.append((child, step, _path_map(cls, step)))
+            else:
+                caret = caret_map(cls, node.colour, direction)
+                stack.append((child, path, compose(acc, caret)))
     return out
 
 

@@ -112,6 +112,11 @@ class Eppm:
     limits: tuple[LimitPair, ...] = ()
     # set on canonicalize's results, so that a normal form is not rebuilt
     normal: bool = field(default=False, init=False, repr=False, compare=False)
+    # set by dynamics._total_form on a normal form once it has passed
+    # is_total, and once its inverse has too, so that a checked form is
+    # not checked again
+    total: bool = field(default=False, init=False, repr=False, compare=False)
+    bijective: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def atoms(self) -> tuple[Atom, ...]:

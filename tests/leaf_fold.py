@@ -1,7 +1,9 @@
 """Each leaf's pointed-tree transformation as its own fold down the
-root-to-leaf path.  `fskit.dynamics.evaluate_fraction` builds every
-leaf's map in one walk of the tree, sharing prefixes; tests check it
-against these folds."""
+root-to-leaf path, sharing nothing between leaves or calls.
+`fskit.dynamics.evaluate_fraction` builds every leaf's map in one walk of
+the tree, sharing prefixes, and takes the maps of paths of at most
+`_MEMO_DEPTH` carets from a per-process memo; tests check it against
+these folds, on trees deeper than the memo too."""
 
 from __future__ import annotations
 

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from fskit import dynamics
 from fskit.cli import build_parser, main
 from fskit.dynamics import parse_element
+from fskit.eppm import is_total
 
 import fraction_render
 from conftest import CLEARY2_TEXT, J3_TEXT, NONSIMPLE4_TEXT, RHO2_TEXT
@@ -159,6 +161,23 @@ def test_compare(fsp, capsys):
         capsys, "compare", fsp(J3_TEXT), "-e", "[b1 | id | a1]", "-e", "[a1 | id | a1]"
     )
     assert code == 0 and out.strip() == "less"
+
+
+def test_each_parsed_form_is_checked_once(fsp, capsys, monkeypatch):
+    # parsing checks a fraction's form, is_total on it and on its inverse,
+    # and the query reads the answer the form carries
+    calls = []
+    monkeypatch.setattr(dynamics, "is_total", lambda m: calls.append(m) or is_total(m))
+    path = fsp(J3_TEXT)
+    for argv, expected, count in [
+        (["classify-element", path, "-e", "[a1 a1 | 2 1 3 | a1 a1]"], "V", 2),
+        (["compare", path, "-e", "[b1 | id | a1]", "-e", "[a1 | id | a1]"], "less", 4),
+        (["plot", path, "-e", "[b1 | id | a1]", "--format", "csv"], "left,", 2),
+    ]:
+        calls.clear()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.startswith(expected)
+        assert len(calls) == count
 
 
 def test_plot_csv(fsp, capsys, tmp_path):

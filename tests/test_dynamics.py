@@ -25,6 +25,7 @@ from fskit.eppm import (
     IDENTITY,
     NotBijective,
     NotOrderPreserving,
+    NotTotal,
     Piece,
     UndefinedAt,
     canonicalize,
@@ -36,7 +37,14 @@ from fskit.eppm import (
     make_eppm,
     restrict,
 )
-from fskit.forest import LEAF, build_tree, identity_perm, leaf_count, parse_caret_word
+from fskit.forest import (
+    LEAF,
+    build_tree,
+    identity_perm,
+    leaf_count,
+    leaf_path,
+    parse_caret_word,
+)
 from fskit.sequences import parse_point
 
 import stream_oracle
@@ -195,6 +203,52 @@ def test_fraction_matches_per_leaf_folds(j3, nonsimple4, cleary2, rho2):
             assert f == fold_fraction(cls, t, tuple(perm), s)
 
 
+def _depth(t):
+    return max(len(leaf_path(t, j)) for j in range(1, leaf_count(t) + 1))
+
+
+def test_leaf_maps_match_per_leaf_folds_past_the_memo_depth(j3, nonsimple4, cleary2, rho2):
+    # nodes down to _MEMO_DEPTH take their maps from the memo, deeper ones
+    # compose onto their parent's map; either way each leaf's map is its
+    # own fold down the root-to-leaf path
+    rng = random.Random("deep leaf folds")
+    for cls in (j3, nonsimple4, cleary2, rho2):
+        deep = 0
+        while deep < 12:
+            t = random_tree(rng, rng.randint(6, 8))
+            if _depth(t) <= dynamics._MEMO_DEPTH:
+                continue
+            deep += 1
+            maps = dynamics._leaf_maps(cls, t)
+            assert maps == [beta_path(cls, t, j) for j in range(1, len(maps) + 1)]
+
+
+def test_path_memo_is_bounded_and_per_class(j3, nonsimple4, monkeypatch):
+    memo = dynamics._path_map
+    keys = []
+    monkeypatch.setattr(
+        dynamics, "_path_map", lambda cls, path: keys.append((cls, path)) or memo(cls, path)
+    )
+    memo.cache_clear()
+    rng = random.Random("path memo")
+    trees = [random_tree(rng, 10) for _ in range(20)]
+    assert max(_depth(t) for t in trees) > dynamics._MEMO_DEPTH
+    for cls in (j3, nonsimple4):
+        for t in trees:
+            dynamics._leaf_maps(cls, t)
+    # no key is longer than the memo depth, so a class has at most
+    # 4 + 16 + 64 + 256 = 340 entries
+    assert max(len(path) for _, path in keys) == dynamics._MEMO_DEPTH
+    assert min(len(path) for _, path in keys) == 1
+    # both classes walk the same trees, and each gets its own entries
+    paths = {path for _, path in keys}
+    assert set(keys) == {(cls, path) for cls in (j3, nonsimple4) for path in paths}
+    assert memo.cache_info().currsize == len(set(keys)) == 2 * len(paths)
+    b1 = (("b", 1),)
+    assert memo(j3, b1) != memo(nonsimple4, b1)
+    assert memo(j3, b1) == caret_map(j3, "b", 1)
+
+
 def test_fraction_shape_mismatch(j3):
     with pytest.raises(NotBijective):
         evaluate_fraction(j3, tree("a1"), (1, 2, 3), tree("a1 a1"))
@@ -292,16 +346,60 @@ def test_family_with_unsorted_ranges_is_v_type():
 
 
 def test_each_query_checks_totality_once(j3, monkeypatch):
-    # one bijection gate, is_total on f and on its inverse, per input
+    # parse_element checks each fraction's form, and the form carries that
+    # answer, so no query on it runs is_total again; a form built by
+    # compose is unchecked: one bijection gate, is_total on f and on its
+    # inverse, per input
     v = parse_element(j3, "[a1 a1 | 2 1 3 | a1 a1]")
     f, g = parse_element(j3, "[b1 | id | a1]"), parse_element(j3, "[a1 | id | a1]")
     calls = []
     monkeypatch.setattr(dynamics, "is_total", lambda m: calls.append(m) or is_total(m))
     assert classify_element(v) == "V"
+    assert bi_order_compare(f, g) == "less"
+    assert is_order_preserving(f) and is_cyclic_order_preserving(g)
+    assert len(calls) == 0
+    v, f, g = (compose(m, IDENTITY) for m in (v, f, g))
+    assert classify_element(v) == "V"
     assert len(calls) == 2
     calls.clear()
     assert bi_order_compare(f, g) == "less"
     assert len(calls) == 4
+
+
+def test_a_failed_gate_fails_again(j3):
+    # a form is marked only once its check has passed: a map that fails a
+    # gate fails it on every call, with the same error and message
+    a1_inv = evaluate_word(j3, (("A1", -1),))
+    gates = [
+        (is_order_preserving, NotTotal, "order test requires a total map"),
+        (support, NotTotal, "support requires a total map"),
+        (classify_element, NotBijective, "F/T/V membership requires a bijection"),
+    ]
+    for query, error, message in gates:
+        for _ in range(2):
+            with pytest.raises(error, match=f"^{message}"):
+                query(a1_inv)
+    assert not a1_inv.total and not a1_inv.bijective
+    # A0 is total but not onto: passing the order test's totality gate
+    # does not stand in for the bijection gate
+    a0 = evaluate_word(j3, (("A0", 1),))
+    assert is_order_preserving(a0)
+    assert a0.total and not a0.bijective
+    for _ in range(2):
+        with pytest.raises(NotBijective, match="^F/T/V membership requires a bijection"):
+            classify_element(a0)
+        with pytest.raises(NotBijective, match="^the bi-order requires a bijection"):
+            bi_order_compare(fraction_yb_ya(j3), a0)
+    assert not a0.bijective
+
+
+def test_marks_leave_equality_hash_and_text_alone(j3):
+    checked = parse_element(j3, "[a1 | 2 1 | a1]")
+    unchecked = compose(checked, IDENTITY)
+    assert checked.total and checked.bijective
+    assert not unchecked.total and not unchecked.bijective
+    assert checked == unchecked and hash(checked) == hash(unchecked)
+    assert str(checked) == str(unchecked) and repr(checked) == repr(unchecked)
 
 
 def test_bi_order_rejects_a_bijection_that_is_not_order_preserving(j3):
