@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache
-from math import lcm
 from typing import Optional
 
 from .eppm import (
@@ -29,8 +28,6 @@ from .eppm import (
     NotOrderPreserving,
     NotTotal,
     Piece,
-    _run,
-    _slab_of,
     atom_at,
     canonicalize,
     compose,
@@ -38,6 +35,7 @@ from .eppm import (
     invert,
     is_total,
     make_eppm,
+    slabs,
 )
 from .forest import Tree, identity_perm, is_permutation, leaf_count
 from .presentation import TwoColourRightVine, UnsupportedClass
@@ -249,30 +247,26 @@ def _family_ran_sorted(fam: Family) -> bool:
     return _cone_before(blocks[-1][1], "1" * fam.ran_step + blocks[0][1])
 
 
-def _pad_key(word: str):
-    # cone prefixes ordered by their infimum point: u < u.w for w not all 0
-    return tuple(int(ch) for ch in word)
-
-
-def _ran_keys(f: Eppm) -> Optional[list[tuple[int, ...]]]:
-    """Keys of the least range cone of each atom of the checked total
-    normal form f, in domain order; None if some family's own ranges are
-    out of order."""
+def _ran_keys(f: Eppm) -> Optional[list[str]]:
+    """The least range cone of each atom of the checked total normal form
+    f, in domain order; None if some family's own ranges are out of order.
+    Cones compare as words, which orders them by their infimum point: u
+    before u.w, and u.0... before u.1...."""
     if not all(_family_ran_sorted(fam) for fam in f.families):
         return None
     entries = [(p.dom, p.ran) for p in f.pieces]
     for fam in f.families:
         d, r = min(fam.blocks)
         entries.append((fam.dom_base + d, fam.ran_base + r))
-    entries.sort(key=lambda e: _pad_key(e[0]))
-    return [_pad_key(r) for _, r in entries]
+    entries.sort()
+    return [r for _, r in entries]
 
 
-def _ascending(rans: Optional[list[tuple[int, ...]]]) -> bool:
+def _ascending(rans: Optional[list[str]]) -> bool:
     return rans is not None and all(a < b for a, b in zip(rans, rans[1:]))
 
 
-def _cyclically_ascending(rans: Optional[list[tuple[int, ...]]]) -> bool:
+def _cyclically_ascending(rans: Optional[list[str]]) -> bool:
     if rans is None:
         return False
     descents = sum(1 for a, b in zip(rans, rans[1:] + rans[:1]) if not a < b)
@@ -434,14 +428,13 @@ def germ_at(f: Eppm, p: EvPeriodic) -> Germ:
         shift = len(atom.ran) - len(atom.dom) + len(x) - len(q.pre)
         return Germ(p, q, 1, ((0, "", q.pre, 1, "0", shift),))
     fams = [fam for fam in f.families if fam.dom_base.rstrip("1") == x]
-    period = lcm(*(fam.dom_step for fam in fams))
-    tail = []
-    for fam in fams:
-        for d, r in fam.blocks:
-            n, u = _slab_of(x, fam.dom_base + d)
-            # the step is per period: the families share their dom step
-            z, a, step, rest = _run(fam.ran_base, 0, r, fam.ran_step)
-            tail.append((n % period, u, z, step, rest, a * period - step * n))
+    # the families at one point share one dom step; 1 at an isolated limit
+    period = max((fam.dom_step for fam in fams), default=1)
+    tail = [
+        (n % period, u, z, step, rest, a * period - step * n)
+        for fam in fams
+        for _, n, u, (z, a, step, rest) in slabs(fam)
+    ]
     return Germ(p, q, period, tuple(sorted(tail)))
 
 
@@ -484,17 +477,12 @@ def _first_deviation(h: Eppm) -> Optional[tuple[str, str]]:
     is the identity at layers 0 and 1 is the identity at every layer (two
     words p.1^{mk}.s that agree at m = 0 and 1 agree for every m), and with
     unequal steps dom and ran have equal lengths at one layer at most."""
-    candidates = []
-    for p in h.pieces:
-        if p.dom != p.ran:
-            candidates.append((_pad_key(p.dom), (p.dom, p.ran)))
+    candidates = [(p.dom, p.ran) for p in h.pieces if p.dom != p.ran]
     for fam in h.families:
         for block in fam.blocks:
             for m in (0, 1):
                 piece = fam.piece_at(m, block)
                 if piece.dom != piece.ran:
-                    candidates.append((_pad_key(piece.dom), (piece.dom, piece.ran)))
+                    candidates.append((piece.dom, piece.ran))
                     break
-    if not candidates:
-        return None
-    return min(candidates)[1]
+    return min(candidates, default=None)

@@ -203,12 +203,8 @@ def restrict_family(f: Family, w: str) -> tuple[list[Piece], list[Family]]:
 
 
 def restrict(f: Eppm, w: str) -> Eppm:
-    pieces: list[Piece] = []
+    pieces = [r for p in f.pieces if (r := restrict_piece(p, w)) is not None]
     fams: list[Family] = []
-    for p in f.pieces:
-        r = restrict_piece(p, w)
-        if r is not None:
-            pieces.append(r)
     for fam in f.families:
         ps, fs = restrict_family(fam, w)
         pieces.extend(ps)
@@ -256,11 +252,7 @@ def evaluate(f: Eppm, p: EvPeriodic) -> EvPeriodic:
 
 
 def in_domain(f: Eppm, p: EvPeriodic) -> bool:
-    try:
-        evaluate(f, p)
-        return True
-    except UndefinedAt:
-        return False
+    return atom_at(f, p) is not None or any(p == lp for lp, _ in f.limits)
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +458,10 @@ def _compose_family_tail(
 Run = tuple[str, int, int, str]
 
 
-def _run(head: str, ones: int, tail: str, step: int) -> Run:
+def _run(head: str, tail: str, step: int) -> Run:
     z = head.rstrip("1")
     lead = _lead_ones(tail)
-    return z, len(head) - len(z) + ones + lead, step, tail[lead:]
+    return z, len(head) - len(z) + lead, step, tail[lead:]
 
 
 def _ran_parent(ran: str, bit: str) -> Optional[str]:
@@ -516,6 +508,13 @@ def _slab_of(x: str, w: str) -> tuple[int, str]:
     return n, rel[n + 1 :]
 
 
+def slabs(fam: Family) -> list[tuple[str, int, str, Run]]:
+    """(x, n, u, (z, a, q, rest)) for each block of fam, in order: its pieces
+    x.1^(n + M.p).0.u -> z.1^(a + M.q).rest, M >= 0, p the dom step."""
+    x, ran = fam.dom_base.rstrip("1"), fam.ran_base
+    return [(x, *_slab_of(x, fam.dom_base + d), _run(ran, r, fam.ran_step)) for d, r in fam.blocks]
+
+
 def _point_form(
     x: str,
     fams: list[Family],
@@ -545,9 +544,9 @@ def _point_form(
         c, cp = fam.dom_step, fam.ran_step
         for m, n in enumerate(range(first, start, c)):
             slabs[n][u] = fam.ran_base + _ones(m * cp) + r
+        z, a, q, rest = _run(fam.ran_base, r, cp * period // c)
         for n in range(start + (first - start) % c, start + period, c):
-            run = _run(fam.ran_base, (n - first) // c * cp, r, cp * period // c)
-            pattern[n - start][u] = run
+            pattern[n - start][u] = (z, a + (n - first) // c * cp, q, rest)
     slabs = [_reduce(slab, _ran_parent) for slab in slabs]
     pattern = [_reduce(slab, _run_parent) for slab in pattern]
 

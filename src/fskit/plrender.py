@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .eppm import Eppm, EppmError, NotOrderPreserving, canonicalize
+from .eppm import Eppm, EppmError, NotOrderPreserving, canonicalize, slabs
 from . import dynamics
 
 
@@ -105,15 +105,13 @@ def _expand(f: Eppm, depth: int) -> tuple[list[PlPiece], list[Dyadic]]:
     cones = [(p.dom, p.ran) for p in f.pieces]
     accumulation: set[Dyadic] = set()
     for fam in f.families:
-        # draw a piece in the slab x.1^n.0 of the point x.1^inf (x not
-        # ending in 1) iff len(x) + n <= depth: what is elided lives strictly
-        # below the resolution, and the plot depends only on the map
-        for d, r in fam.blocks:
-            # len(x) + n for the block's piece at layer 0
-            reach = len(fam.dom_base) + len(d) - len(d.lstrip("1"))
-            for m in range((depth - reach) // fam.dom_step + 1):
-                piece = fam.piece_at(m, (d, r))
-                cones.append((piece.dom, piece.ran))
+        # draw slab n of the point x.1^inf iff len(x) + n <= depth: what is
+        # elided lives strictly below the resolution, and the plot depends
+        # only on the map
+        p = fam.dom_step
+        for x, n, u, (z, a, q, rest) in slabs(fam):
+            for m in range((depth - len(x) - n) // p + 1):
+                cones.append((x + "1" * (n + m * p) + "0" + u, z + "1" * (a + m * q) + rest))
         accumulation.add(_cone_piece(fam.dom_base, "").right)
     # the doms are prefix-free, so their string order is left-end order
     cones.sort()

@@ -574,7 +574,7 @@ def first_deviation_by_scan(h, layers: int = 40):
                     break
     if not deviating:
         return None
-    first = min(deviating, key=lambda p: dynamics._pad_key(p.dom))
+    first = min(deviating, key=lambda p: p.dom)
     return first.dom, first.ran
 
 
