@@ -250,8 +250,8 @@ def _family_ran_sorted(fam: Family) -> bool:
 def _ran_keys(f: Eppm) -> Optional[list[str]]:
     """The least range cone of each atom of the checked total normal form
     f, in domain order; None if some family's own ranges are out of order.
-    Cones compare as words, which orders them by their infimum point: u
-    before u.w, and u.0... before u.1...."""
+    Word order is the order of the cones' least points: u.0... < u.1...,
+    and u < u.w, the points tying when w is all 0s."""
     if not all(_family_ran_sorted(fam) for fam in f.families):
         return None
     entries = [(p.dom, p.ran) for p in f.pieces]
@@ -315,68 +315,103 @@ class FixedLadder:
 @dataclass(frozen=True)
 class Support:
     """Where a total map is the identity, read off its normal form, so that
-    every writing of the map gets the same Support.  fixed_cones lists only
-    cones on which f is the identity: the domains of the pieces dom -> dom.
-    moved_cones lists the other pieces' domains and, once each, the bases
-    of the families: no family base is fixed, since the normal form writes
-    the identity on a whole cone as one piece.  A family's fixed points,
-    its layer 0 included, are reported only as fixed_ladders; fixed_points
-    holds the fixed points of pieces and of family limits."""
+    every writing of the map gets the same Support.
+
+    fixed_cones lists only cones on which f is the identity: the domains of
+    the pieces dom -> dom, and a family's piece dom -> dom at a single
+    layer.  moved_cones lists the other pieces' domains and, once each, the
+    bases of the families: no family base is fixed, since the normal form
+    writes the identity on a whole cone as one piece.  fixed_points holds
+    the fixed points of pieces, of family limits and of a family's pieces
+    at a single layer; a family block that fixes a point at every layer is
+    a fixed ladder, and one that is the identity at every layer is a fixed
+    cone ladder (base, step, suffix): the cones base.1^{m step}.suffix for
+    every m >= 0.  This is exact when f is injective: a family whose ranges
+    nest, which only a map that is not injective has, can fix a point at
+    other layers too."""
 
     fixed_cones: tuple[str, ...]
     fixed_points: tuple[EvPeriodic, ...]
     fixed_ladders: tuple[FixedLadder, ...]
     moved_cones: tuple[str, ...]
+    fixed_cone_ladders: tuple[tuple[str, int, str], ...] = ()
 
 
-def _piece_fixed_point(dom: str, ran: str) -> Optional[EvPeriodic]:
-    if dom == ran:
+def _extension(piece: Piece) -> Optional[tuple[str, str]]:
+    """(w, t) with {dom, ran} = {w, w.t}, if one of the piece's dom and ran
+    extends the other: the piece is then the identity on the cone w when t
+    is empty, and else fixes just the point w.t^inf in it."""
+    w, longer = sorted((piece.dom, piece.ran), key=len)
+    return (w, longer[len(w) :]) if longer.startswith(w) else None
+
+
+def _lined_up_layer(x: str, n: int, p: int, z: str, a: int, q: int) -> Optional[int]:
+    """The one layer M >= 0, if any, at which a family block's dom
+    x.1^(n + M.p).0... and ran z.1^(a + M.q).0... can extend one another,
+    given (z, q) != (x, p).  As neither x nor z ends in 1, either x == z
+    and the two runs are as long, or one of x and z extends the other by a
+    1-run as long as the other's run, then a 0."""
+    if x == z:
+        gap, step = a - n, p - q
+    elif z.startswith(x):
+        gap, step = z.index("0", len(x)) - len(x) - n, p
+    elif x.startswith(z):
+        gap, step = x.index("0", len(z)) - len(z) - a, q
+    else:
         return None
-    if ran.startswith(dom):
-        tail = ran[len(dom) :]
-        return ev_periodic(dom, tail)
-    if dom.startswith(ran):
-        tail = dom[len(ran) :]
-        return ev_periodic(ran, tail)
-    return None
+    m, r = divmod(gap, step)
+    return m if r == 0 and m >= 0 else None
 
 
 def support(f: Eppm) -> Support:
+    """The Support of f, a family block at a time through eppm.slabs: with
+    (z, q) == (x, p) its dom and ran extend one another alike at every
+    layer, and else at most at the layer where their 1-runs line up."""
     f = _total_form(f, NotTotal("support requires a total map"))
     fixed_cones: list[str] = []
     fixed_points: list[EvPeriodic] = []
     ladders: list[FixedLadder] = []
+    cone_ladders: list[tuple[str, int, str]] = []
     moved: list[str] = []
 
-    for p in f.pieces:
-        if p.dom == p.ran:
-            fixed_cones.append(p.dom)
-            continue
-        moved.append(p.dom)
-        fp = _piece_fixed_point(p.dom, p.ran)
-        if fp is not None:
-            fixed_points.append(fp)
+    def fix(piece: Piece) -> None:
+        ext = _extension(piece)
+        if ext is None:
+            return
+        w, t = ext
+        if t:
+            fixed_points.append(ev_periodic(w, t))
+        else:
+            fixed_cones.append(w)
+
+    for piece in f.pieces:
+        fix(piece)
+        if piece.dom != piece.ran:
+            moved.append(piece.dom)
 
     for fam in f.families:
         moved.append(fam.dom_base)
         if fam.carries_limit and fam.limit_dom == fam.limit_ran:
             fixed_points.append(fam.limit_dom)
-        for block in fam.blocks:
-            p0, p1 = fam.piece_at(0, block), fam.piece_at(1, block)
-            if p0.ran.startswith(p0.dom) and p1.ran.startswith(p1.dom):
-                w0, w1 = p0.ran[len(p0.dom) :], p1.ran[len(p1.dom) :]
-            elif p0.dom.startswith(p0.ran) and p1.dom.startswith(p1.ran):
-                w0, w1 = p0.dom[len(p0.ran) :], p1.dom[len(p1.ran) :]
-            else:
+        p = fam.dom_step
+        for block, (x, n, _, (z, a, q, _)) in zip(fam.blocks, slabs(fam)):
+            if (z, q) != (x, p):
+                m = _lined_up_layer(x, n, p, z, a, q)
+                if m is not None:
+                    fix(fam.piece_at(m, block))
                 continue
-            if w0 == w1 and w0:
-                ladders.append(FixedLadder(fam.dom_base, fam.dom_step, block[0], w0))
+            ext = _extension(fam.piece_at(0, block))
+            if ext is not None and ext[1]:
+                ladders.append(FixedLadder(fam.dom_base, p, block[0], ext[1]))
+            elif ext is not None:
+                cone_ladders.append((fam.dom_base, p, block[0]))
 
     return Support(
         tuple(sorted(fixed_cones)),
         tuple(sorted(dict.fromkeys(fixed_points), key=lambda e: (e.pre, e.per))),
         tuple(sorted(dict.fromkeys(ladders), key=lambda l: (l.base, l.suffix))),
         tuple(sorted(dict.fromkeys(moved))),
+        tuple(sorted(cone_ladders)),
     )
 
 

@@ -536,18 +536,18 @@ def _point_form(
         [n for _, n, _, _ in items] + [n + 1 for n, _, _ in placed] + [n + 1 for n in walled]
     )
 
-    slabs: list[dict[str, str]] = [{} for _ in range(start)]
+    explicit: list[dict[str, str]] = [{} for _ in range(start)]
     for n, u, v in placed:
-        slabs[n][u] = v
+        explicit[n][u] = v
     pattern: list[dict[str, Run]] = [{} for _ in range(period)]
     for fam, first, u, r in items:
         c, cp = fam.dom_step, fam.ran_step
         for m, n in enumerate(range(first, start, c)):
-            slabs[n][u] = fam.ran_base + _ones(m * cp) + r
+            explicit[n][u] = fam.ran_base + _ones(m * cp) + r
         z, a, q, rest = _run(fam.ran_base, r, cp * period // c)
         for n in range(start + (first - start) % c, start + period, c):
             pattern[n - start][u] = (z, a + (n - first) // c * cp, q, rest)
-    slabs = [_reduce(slab, _ran_parent) for slab in slabs]
+    explicit = [_reduce(slab, _ran_parent) for slab in explicit]
     pattern = [_reduce(slab, _run_parent) for slab in pattern]
 
     def pattern_at(n: int, shift: int = 0) -> Optional[dict[str, Run]]:
@@ -579,7 +579,7 @@ def _point_form(
     first = start
     while first > 0 and first - 1 not in walled:
         laps, rho = divmod(first - 1 - start, period)
-        slab = slabs[first - 1]
+        slab = explicit[first - 1]
         if len(slab) != len(pattern[rho]) or not all(
             a + q * laps >= 0 and slab.get(u) == z + _ones(a + q * laps) + rest
             for u, (z, a, q, rest) in pattern[rho].items()
@@ -588,7 +588,7 @@ def _point_form(
         first -= 1
 
     pieces = {
-        x + _ones(n) + "0" + u: v for n in range(first) for u, v in slabs[n].items()
+        x + _ones(n) + "0" + u: v for n in range(first) for u, v in explicit[n].items()
     }
     groups: dict[tuple[str, int], list[tuple[str, int, str]]] = {}
     for rho in range(p):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +53,11 @@ def test_classify(fsp, capsys):
     assert "L_x=2" in out and "R_x=2" in out and "M=3" in out
 
 
+def test_classify_general(fsp, capsys):
+    code, out, _ = run(capsys, "classify", fsp("colors a b c\nrel a1 a1 = b1 c1\n"))
+    assert code == 0 and out == "General\n"
+
+
 def test_abelianize(fsp, capsys):
     j4 = "colors a b\nrel a1 a1 a2 a4 = b1 b2 b3 b4\n"
     code, out, _ = run(capsys, "abelianize", fsp(j4))
@@ -70,6 +79,12 @@ def test_germs(fsp, capsys):
     assert out.strip() == "< a, b | a = b^2 >"
     code, out, _ = run(capsys, "germs", fsp(J3_TEXT), "--end", "first")
     assert out.strip() == "< a, b | a^2 = b >"
+
+
+def test_germs_json(fsp, capsys):
+    code, out, _ = run(capsys, "germs", fsp(J3_TEXT), "--end", "first", "--json")
+    assert code == 0
+    assert out == '{"generators": ["a", "b"], "relators": [[["a", "a"], ["b"]]]}\n'
 
 
 def test_check_simple_collapse(fsp, capsys):
@@ -154,6 +169,37 @@ def test_singular(fsp, capsys):
     assert code == 0 and out.strip() == "(1)"
     code, out, _ = run(capsys, "singular", fsp(RHO2_TEXT), "-e", "[b1 | id | a1]")
     assert code == 0 and out.strip() == "none"
+
+
+def test_singular_json(fsp, capsys):
+    code, out, _ = run(capsys, "singular", fsp(J3_TEXT), "-e", "[b1 | id | a1]", "--json")
+    assert code == 0 and out == '["(1)"]\n'
+
+
+@pytest.mark.parametrize("command", ["equal", "compare"])
+@pytest.mark.parametrize("count", [1, 3])
+def test_two_element_commands_need_two(fsp, capsys, command, count):
+    code, out, err = run(capsys, command, fsp(J3_TEXT), *["-e", "A1"] * count)
+    assert code == 1 and out == ""
+    assert err == "error: need exactly two -e expressions\n"
+
+
+def test_module_runs_as_a_process(fsp):
+    # python -m fskit: its exit status is main's return code
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    path = fsp(J3_TEXT)
+
+    def fskit(*argv):
+        argv = [sys.executable, "-m", "fskit", *argv]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        return done.returncode, done.stdout, done.stderr
+
+    assert fskit("equal", path, "-e", "A1 A1", "-e", "B1 B1 B1") == (0, "equal\n", "")
+    assert fskit("equal", path, "-e", "A1") == (
+        1,
+        "",
+        "error: need exactly two -e expressions\n",
+    )
 
 
 def test_compare(fsp, capsys):

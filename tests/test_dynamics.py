@@ -4,6 +4,8 @@ import pytest
 
 from fskit import dynamics
 from fskit.dynamics import (
+    FixedLadder,
+    Support,
     bi_order_compare,
     caret_map,
     classify_element,
@@ -45,7 +47,7 @@ from fskit.forest import (
     leaf_path,
     parse_caret_word,
 )
-from fskit.sequences import parse_point
+from fskit.sequences import ev_periodic, parse_point
 
 import stream_oracle
 from forest_algebra import compose as compose_forest
@@ -461,9 +463,123 @@ def test_support_lists_a_family_base_as_moved_only():
     )
     assert evaluate(f, parse_point("101(0)")) == parse_point("1101(0)")
     s = support(f)
-    assert s.fixed_cones == ()
+    # the second family is the identity at its layer 0 alone, the first at
+    # every layer: the cones 1^m.00
+    assert s.fixed_cones == ("01",)
+    assert s.fixed_cone_ladders == (("", 1, "00"),)
     assert s.moved_cones == ("",)
     assert s.fixed_points == (parse_point("(1)"),)
+    assert evaluate(f, parse_point("11100(01)")) == parse_point("11100(01)")
+
+
+def test_support_lists_fixed_points_on_a_single_layer(j3):
+    # the family block 0 -> 00 of [1|1^2 -> 10|1^2: ...] fixes (0) at layer
+    # 0 alone, and the block 100 -> 01 fixes 1(0) at layer 0 alone
+    f = parse_element(j3, "[a1 a2 | 1 3 2 | b1 b2]")
+    s = support(f)
+    assert s.fixed_points == (parse_point("(0)"), parse_point("1(0)"))
+    assert s.fixed_cones == s.fixed_ladders == s.fixed_cone_ladders == ()
+    for p in s.fixed_points:
+        assert evaluate(f, p) == p
+
+
+def support_by_scan(f, layers: int = 40):
+    """support with every family block scanned over `layers` layers: a
+    block that fixes a point with one tail, or is the identity, at every
+    scanned layer is a ladder, and else each layer's fixed cone or point is
+    listed."""
+    f = canonicalize(f)
+    cones, points, ladders, cone_ladders, moved = [], [], [], [], []
+
+    def fixed(dom, ran):
+        """The tail t of the fixed point shorter.t^inf, "" on a fixed cone."""
+        short, long = sorted((dom, ran), key=len)
+        return long[len(short) :] if long.startswith(short) else None
+
+    def fix(dom, ran):
+        t = fixed(dom, ran)
+        if t:
+            points.append(ev_periodic(min(dom, ran, key=len), t))
+        elif t == "":
+            cones.append(dom)
+
+    for p in f.pieces:
+        fix(p.dom, p.ran)
+        if p.dom != p.ran:
+            moved.append(p.dom)
+    for fam in f.families:
+        moved.append(fam.dom_base)
+        if fam.carries_limit and fam.limit_dom == fam.limit_ran:
+            points.append(fam.limit_dom)
+        for block in fam.blocks:
+            pieces = [fam.piece_at(m, block) for m in range(layers)]
+            tails = {fixed(p.dom, p.ran) for p in pieces}
+            if tails == {""}:
+                cone_ladders.append((fam.dom_base, fam.dom_step, block[0]))
+            elif len(tails) == 1 and None not in tails:
+                ladders.append(FixedLadder(fam.dom_base, fam.dom_step, block[0], tails.pop()))
+            else:
+                for p in pieces:
+                    fix(p.dom, p.ran)
+    return Support(
+        tuple(sorted(cones)),
+        tuple(sorted(set(points), key=lambda e: (e.pre, e.per))),
+        tuple(sorted(set(ladders), key=lambda l: (l.base, l.suffix))),
+        tuple(sorted(set(moved))),
+        tuple(sorted(cone_ladders)),
+    )
+
+
+def test_support_matches_layer_scan(j3, nonsimple4, cleary2, rho2):
+    rng = random.Random(19)
+    blocks = 0
+    for cls in (j3, nonsimple4, cleary2, rho2):
+        prev = IDENTITY
+        for _ in range(60):
+            s = random_tree(rng, rng.randint(1, 6))
+            t = random_tree(rng, leaf_count(s) - 1)
+            perm = list(range(1, leaf_count(s) + 1))
+            rng.shuffle(perm)
+            f = evaluate_fraction(cls, t, tuple(perm), s)
+            for h in (f, compose(f, prev)):
+                found = support(h)
+                assert found == support_by_scan(h)
+                blocks += sum(len(fam.blocks) for fam in canonicalize(h).families)
+                for p in found.fixed_points:
+                    assert evaluate(h, p) == p
+            prev = f
+    assert blocks > 1000
+
+
+def test_lined_up_layer_is_the_only_one(j3):
+    # a block x.1^(n+Mp).0.u -> z.1^(a+Mq).0.r with (z, q) != (x, p): dom
+    # and ran extend one another at no layer but the lined-up one
+    rng = random.Random(23)
+
+    def word():
+        return "".join(rng.choice("01") for _ in range(rng.randint(0, 5))).rstrip("1")
+
+    hits = 0
+    for _ in range(4000):
+        x, z = word(), word()
+        if rng.random() < 0.5:
+            # z = x.1^k.0... or x = z.1^k.0..., the runs' other meeting
+            z = x + "1" * rng.randint(0, 4) + "0" + word()
+            if rng.random() < 0.5:
+                x, z = z, x
+        n, a = rng.randint(0, 6), rng.randint(0, 6)
+        p, q = rng.randint(1, 3), rng.randint(1, 3)
+        if (z, q) == (x, p):
+            continue
+        u, r = word(), "0" + word()
+        m = dynamics._lined_up_layer(x, n, p, z, a, q)
+        pieces = [
+            Piece(x + "1" * (n + k * p) + "0" + u, z + "1" * (a + k * q) + r) for k in range(30)
+        ]
+        related = [k for k, piece in enumerate(pieces) if dynamics._extension(piece)]
+        assert related in ([], [m])
+        hits += bool(related)
+    assert hits >= 300
 
 
 def test_support_reads_the_map_not_its_writing(j3, nonsimple4, cleary2, rho2):

@@ -40,6 +40,7 @@ from fskit.eppm import (
     make_eppm,
     region_subset,
     restrict,
+    slabs,
 )
 from fskit.sequences import ev_periodic
 import region_walk
@@ -127,6 +128,27 @@ def random_map(cls, rng: random.Random):
     elif writing == 2:
         f = split_at_root(f)
     return f
+
+
+def test_slabs_unroll_to_the_family_pieces():
+    # each entry (x, n, u, (z, a, q, rest)) of slabs(fam), unrolled at the
+    # laps M = 0..3, is its block's piece at layers 0..3
+    rng = random.Random("slabs")
+    blocks = 0
+    for cls in CLASSES.values():
+        for _ in range(60):
+            for fam in canonicalize(random_map(cls, rng)).families:
+                entries = slabs(fam)
+                assert len(entries) == len(fam.blocks)
+                for block, (x, n, u, (z, a, q, rest)) in zip(fam.blocks, entries):
+                    assert x == fam.dom_base.rstrip("1") and q == fam.ran_step
+                    assert not z.endswith("1") and not rest.startswith("1")
+                    for m in range(4):
+                        dom = x + "1" * (n + m * fam.dom_step) + "0" + u
+                        ran = z + "1" * (a + m * q) + rest
+                        assert Piece(dom, ran) == fam.piece_at(m, block)
+                blocks += len(entries)
+    assert blocks >= 300
 
 
 @pytest.mark.parametrize("name", sorted(CLASSES))

@@ -1,7 +1,8 @@
 """Rules the fskit package keeps: no assert statements (they vanish under
 python -O, so they cannot guard anything), standard-library imports only,
-and no top-level definition that nothing in the package uses unless the
-README documents it (test-only helpers live in tests/)."""
+no module reaching into another's _-prefixed names, and no top-level
+definition that nothing in the package uses unless the README documents
+it (test-only helpers live in tests/)."""
 
 import ast
 import sys
@@ -47,6 +48,38 @@ def test_imports_standard_library_or_fskit(path):
             continue
         foreign += [n for n in names if n.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == [], f"{path.name}: imports {foreign}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_private_names_of_another_module(path):
+    """A module's _-prefixed names are its own: no other fskit module
+    imports one, or reads one off the module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    relative = [
+        node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1
+    ]
+    modules = {
+        alias.asname or alias.name
+        for node in relative
+        if node.module is None
+        for alias in node.names
+    }
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in relative
+        if node.module is not None
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    private += [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and node.attr.startswith("_")
+    ]
+    assert private == [], f"{path.name}: uses {private}"
 
 
 def _top_level_definitions(tree: ast.Module):
