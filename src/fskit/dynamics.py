@@ -28,10 +28,10 @@ from .eppm import (
     NotOrderPreserving,
     NotTotal,
     Piece,
+    UndefinedAt,
     atom_at,
     canonicalize,
     compose,
-    evaluate,
     invert,
     is_total,
     make_eppm,
@@ -326,9 +326,7 @@ class Support:
     at a single layer; a family block that fixes a point at every layer is
     a fixed ladder, and one that is the identity at every layer is a fixed
     cone ladder (base, step, suffix): the cones base.1^{m step}.suffix for
-    every m >= 0.  This is exact when f is injective: a family whose ranges
-    nest, which only a map that is not injective has, can fix a point at
-    other layers too."""
+    every m >= 0."""
 
     fixed_cones: tuple[str, ...]
     fixed_points: tuple[EvPeriodic, ...]
@@ -366,7 +364,8 @@ def _lined_up_layer(x: str, n: int, p: int, z: str, a: int, q: int) -> Optional[
 def support(f: Eppm) -> Support:
     """The Support of f, a family block at a time through eppm.slabs: with
     (z, q) == (x, p) its dom and ran extend one another alike at every
-    layer, and else at most at the layer where their 1-runs line up."""
+    layer, and else at most at the layer where their 1-runs line up.
+    Raises NotBijective where a block's ranges nest (an empty rest)."""
     f = _total_form(f, NotTotal("support requires a total map"))
     fixed_cones: list[str] = []
     fixed_points: list[EvPeriodic] = []
@@ -394,7 +393,9 @@ def support(f: Eppm) -> Support:
         if fam.carries_limit and fam.limit_dom == fam.limit_ran:
             fixed_points.append(fam.limit_dom)
         p = fam.dom_step
-        for block, (x, n, _, (z, a, q, _)) in zip(fam.blocks, slabs(fam)):
+        for block, (x, n, _, (z, a, q, rest)) in zip(fam.blocks, slabs(fam)):
+            if not rest:
+                raise NotBijective(f"support requires an injective map: block {block[0]} nests")
             if (z, q) != (x, p):
                 m = _lined_up_layer(x, n, p, z, a, q)
                 if m is not None:
@@ -450,27 +451,29 @@ def germ_at(f: Eppm, p: EvPeriodic) -> Germ:
 
     Near p the normal form acts through the one piece that covers p, the
     period-1 tail x.1^n.0 -> z.1^(n + shift).0 with z.1^inf the image of
-    p, or else through its families at p, which share one period."""
+    p, or else through its families at p, which share one period.  Raises
+    UndefinedAt where f is undefined at p, and ValueError where the form
+    sends p to an isolated limit, as where f is defined at p alone."""
     if not p.has_tail("1"):
         raise ValueError("germ_at expects a tail-(1)^inf point")
     f = canonicalize(f)
-    q = evaluate(f, p)
-    if not q.has_tail("1"):
-        raise ValueError("image has no tail-(1)^inf form; germ not representable")
-    x = p.pre
     atom = atom_at(f, p)
+    if atom is None:
+        raise UndefinedAt(p)
     if isinstance(atom, Piece):
-        shift = len(atom.ran) - len(atom.dom) + len(x) - len(q.pre)
+        q = p.drop(len(atom.dom)).prepend(atom.ran)
+        shift = len(atom.ran) - len(atom.dom) + len(p.pre) - len(q.pre)
         return Germ(p, q, 1, ((0, "", q.pre, 1, "0", shift),))
-    fams = [fam for fam in f.families if fam.dom_base.rstrip("1") == x]
-    # the families at one point share one dom step; 1 at an isolated limit
-    period = max((fam.dom_step for fam in fams), default=1)
+    if not isinstance(atom, Family):
+        raise ValueError(f"f has no germ at {p}: it sends {p} to an isolated limit")
+    fams = [fam for fam in f.families if fam.dom_base.rstrip("1") == p.pre]
+    period = atom.dom_step  # the families at one point share one dom step
     tail = [
         (n % period, u, z, step, rest, a * period - step * n)
         for fam in fams
         for _, n, u, (z, a, step, rest) in slabs(fam)
     ]
-    return Germ(p, q, period, tuple(sorted(tail)))
+    return Germ(p, atom.limit_ran, period, tuple(sorted(tail)))
 
 
 # ---------------------------------------------------------------------------

@@ -182,19 +182,16 @@ def restrict_family(f: Family, w: str) -> tuple[list[Piece], list[Family]]:
         )
         return pieces, [rest]
     # the cone is db.1^ones.0...: a block d with l < len(d) leading 1s starts
-    # 1^(mc + l).0 at layer m, so only layer (ones - l)/c can meet it; an
-    # all-1s block can meet it at every layer up to ones/c
+    # 1^(mc + l).0 at layer m, so only layer (ones - l)/c can meet it; a block
+    # of 1s alone would hold every later layer and the family's limit
     hits: list[tuple[int, int, Piece]] = []
     for i, block in enumerate(f.blocks):
         d = block[0]
         lead = _lead_ones(d)
         if lead == len(d):
-            layers: Iterable[int] = range(ones // c + 1)
-        elif lead <= ones and (ones - lead) % c == 0:
-            layers = ((ones - lead) // c,)
-        else:
-            continue
-        for m in layers:
+            raise EppmError(f"cone {db + d or 'e'} holds the accumulation point of its family")
+        if lead <= ones and (ones - lead) % c == 0:
+            m = (ones - lead) // c
             r = restrict_piece(f.piece_at(m, block), w)
             if r is not None:
                 hits.append((m, i, r))
@@ -217,9 +214,10 @@ def restrict(f: Eppm, w: str) -> Eppm:
 # evaluation
 
 
-def atom_at(f: Eppm, p: EvPeriodic) -> Optional[Atom]:
+def atom_at(f: Eppm, p: EvPeriodic) -> Union[Atom, LimitPair, None]:
     """What f acts by at p: the piece covering p, written or generated by a
-    family; else the family whose limit p is; else None."""
+    family; else the family whose limit p is; else the isolated limit (p,
+    q); else None."""
     for piece in f.pieces:
         if p.starts_with(piece.dom):
             return piece
@@ -236,23 +234,20 @@ def atom_at(f: Eppm, p: EvPeriodic) -> Optional[Atom]:
         for piece in restrict_family(fam, cone)[0]:
             if p.starts_with(piece.dom):
                 return piece
-    return None
+    return next((pair for pair in f.limits if p == pair[0]), None)
 
 
 def evaluate(f: Eppm, p: EvPeriodic) -> EvPeriodic:
     atom = atom_at(f, p)
+    if atom is None:
+        raise UndefinedAt(p)
     if isinstance(atom, Piece):
         return p.drop(len(atom.dom)).prepend(atom.ran)
-    if atom is not None:
-        return atom.limit_ran
-    for lp, lq in f.limits:
-        if p == lp:
-            return lq
-    raise UndefinedAt(p)
+    return atom.limit_ran if isinstance(atom, Family) else atom[1]
 
 
 def in_domain(f: Eppm, p: EvPeriodic) -> bool:
-    return atom_at(f, p) is not None or any(p == lp for lp, _ in f.limits)
+    return atom_at(f, p) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -74,10 +74,6 @@ def random_fraction(cls: TwoColourRightVine, rng: random.Random):
     return evaluate_fraction(cls, t, tuple(perm), s)
 
 
-def random_monochrome_tree(rng: random.Random, carets: int, colour="a") -> Tree:
-    return random_tree(rng, carets, (colour,))
-
-
 def random_point(rng: random.Random, max_len: int = 6):
     from fskit.sequences import ev_periodic
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -553,6 +554,16 @@ def test_support_matches_layer_scan(j3, nonsimple4, cleary2, rho2):
     assert blocks > 1000
 
 
+def test_support_refuses_a_family_whose_ranges_nest():
+    # a total map that is not injective: block 0 -> e has the ranges
+    # 1^M, which nest, and f fixes 1(10) and 11(110) on top of (0) and (1)
+    f = make_eppm(families=[Family("", "", 2, 1, (("0", ""), ("10", "0")))])
+    assert is_total(f)
+    assert evaluate(f, parse_point("1(10)")) == parse_point("1(10)")
+    with pytest.raises(NotBijective, match="injective"):
+        support(f)
+
+
 def test_lined_up_layer_is_the_only_one():
     # a block x.1^(n+Mp).0.u -> z.1^(a+Mq).0.r with (z, q) != (x, p): dom
     # and ran extend one another at no layer but the lined-up one
@@ -650,6 +661,25 @@ def test_germ_phi5_equals_a1_9(nonsimple4):
     for _ in range(9):
         a19 = compose(a19, a1)
     assert germ_at(acc, parse_point("(1)")) == germ_at(a19, parse_point("(1)"))
+
+
+def test_germ_at_an_isolated_limit_is_refused(j3):
+    # each f is defined at 0(1) alone, with no piece or family near it, so
+    # it has no germ there
+    p, top = parse_point("0(1)"), parse_point("(1)")
+    for ran in ("1", "10"):
+        f = make_eppm(pieces=[Piece("1", ran)], limits=[(p, top)])
+        assert evaluate(f, p) == top
+        with pytest.raises(ValueError, match="isolated limit"):
+            germ_at(f, p)
+    with pytest.raises(UndefinedAt):
+        germ_at(make_eppm(pieces=[Piece("1", "1")]), p)
+    # B1's family without its limit, and (1) sent elsewhere: f jumps at (1)
+    fam = replace(caret_map(j3, "b", 1).families[0], carries_limit=False)
+    f = make_eppm(families=[fam], limits=[(top, p)])
+    assert evaluate(f, top) == p
+    with pytest.raises(ValueError, match="isolated limit"):
+        germ_at(f, top)
 
 
 def test_germ_b1_differs_from_powers(j3):

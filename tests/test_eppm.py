@@ -294,9 +294,28 @@ families = st.builds(
 @settings(max_examples=400)
 @given(family=families, ones=st.integers(0, 14), tail=bit_words, based=st.booleans())
 def test_restrict_family_matches_layer_scan(family, ones, tail, based):
-    # cones below the family's base and its 1-run, and arbitrary cones
+    # cones below the family's base and its 1-run, and arbitrary cones; past
+    # the base, a cone with a 0 in it is refused by a block of 1s alone,
+    # whose cone holds every later layer and the family's limit
     w = (family.dom_base + "1" * ones if based else "") + tail
-    assert restrict_family(family, w) == restrict_family_by_scan(family, w)
+    past_base = w.startswith(family.dom_base) and "0" in w[len(family.dom_base) :]
+    if past_base and any("0" not in d for d, _ in family.blocks):
+        with pytest.raises(EppmError):
+            restrict_family(family, w)
+    else:
+        assert restrict_family(family, w) == restrict_family_by_scan(family, w)
+
+
+def test_a_block_of_ones_alone_is_refused():
+    # its cone 1 holds every later layer 1^(2m).1 and the limit (1), so no
+    # one piece of the family acts at 110(0)
+    fam = Family("", "", 2, 1, (("1", "0"),))
+    with pytest.raises(EppmError, match="holds the accumulation point"):
+        restrict_family(fam, "110")
+    with pytest.raises(EppmError, match="holds the accumulation point"):
+        evaluate(make_eppm(families=[fam]), parse_point("110(0)"))
+    with pytest.raises(EppmError, match="holds the accumulation point"):
+        canonicalize(make_eppm(families=[fam]))
 
 
 def evaluate_by_scan(f, p):
@@ -330,12 +349,12 @@ def evaluate_by_scan(f, p):
 
 @st.composite
 def valid_families(draw):
-    """Families whose block doms are non-empty, prefix-free and inside one
-    layer (none starts with 1^dom_step), so their pieces are disjoint."""
+    """Families whose block doms hold a 0, are prefix-free and lie inside
+    one layer (none starts with 1^dom_step), so their pieces are disjoint."""
     c = draw(st.integers(1, 4))
     doms: list[str] = []
     for d in draw(st.lists(st.text(alphabet="01", min_size=1, max_size=5), max_size=6)):
-        if not d.startswith("1" * c) and not any(
+        if "0" in d and not d.startswith("1" * c) and not any(
             d.startswith(e) or e.startswith(d) for e in doms
         ):
             doms.append(d)

@@ -1,6 +1,7 @@
 """Germs read off the normal form, against the rebase comparison they
-replaced (tests/germ_rebase.py), and the pruned germ relations at omega
-checked on the dynamics."""
+replaced (tests/germ_rebase.py), the pruned germ relations at omega
+checked on the dynamics, and germ equality at omega against the word
+problem of the printed presentation (tests/amalgam_word.py)."""
 
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from fskit.eppm import IDENTITY, UndefinedAt, canonicalize, compose, invert
 from fskit.presentation import End, germ_presentation
 from fskit.probe import kappa_omega
 from fskit.sequences import parse_point
+from amalgam_word import word_class
 from germ_rebase import germs_equal_by_rebase
 
 CLASSES = {
@@ -102,3 +104,58 @@ def test_pruned_relation_holds_on_germs_at_omega(name):
     ab = germ_at(kappa_omega(cls, "ab"), omega)
     ba = germ_at(kappa_omega(cls, "ba"), omega)
     assert (ab == ba) is abelian
+
+
+def germ_at_omega(cls, word):
+    """The germ at (1) of a word of ('a' | 'b', +-1) pairs, read as A1, B1."""
+    signed = tuple(("A1" if letter == "a" else "B1", exp) for letter, exp in word)
+    return germ_at(evaluate_word(cls, signed), parse_point("(1)"))
+
+
+@pytest.mark.parametrize("name", ["j3", "cleary2"])
+def test_germ_equality_at_omega_is_the_printed_word_problem(name):
+    # there the germ group at omega is < a, b | a^p = b^q > itself
+    _, p, q, _ = OMEGA_GERMS[name]
+    rng = random.Random(name)
+    words = [
+        tuple((rng.choice("ab"), rng.choice((1, -1))) for _ in range(rng.randint(0, 7)))
+        for _ in range(150)
+    ]
+    germs = [germ_at_omega(CLASSES[name], w) for w in words]
+    classes = [word_class(w, p, q) for w in words]
+    equal = 0
+    for i in range(len(words)):
+        for j in range(i):
+            same = classes[i] == classes[j]
+            assert (germs[i] == germs[j]) is same, (words[i], words[j])
+            equal += same
+    assert 0 < equal < len(words) * (len(words) - 1) // 2
+
+
+A, B, B_ = ("a", 1), ("b", 1), ("b", -1)
+
+
+@pytest.mark.parametrize(
+    "name, word, other",
+    [
+        ("rho2", (A, B_) * 2, ()),
+        ("rho2", (A, B), (B, A)),
+        ("nonsimple4", (A, B) * 5, (A,) * 9),
+    ],
+)
+def test_germ_group_at_omega_is_a_proper_quotient(name, word, other):
+    # relations of the germs at omega that < a, b | a^p = b^q > lacks
+    _, p, q, _ = OMEGA_GERMS[name]
+    cls = CLASSES[name]
+    assert word_class(word, p, q) != word_class(other, p, q)
+    assert germ_at_omega(cls, word) == germ_at_omega(cls, other)
+
+
+def test_j3_germs_at_omega_are_not_metabelian():
+    # projective germs are affine, so they satisfy [[x, y], [z, w]] = 1
+    def commutator(x, y):
+        x_, y_ = (tuple((letter, -exp) for letter, exp in reversed(w)) for w in (x, y))
+        return x + y + x_ + y_
+
+    word = commutator(commutator((A,), (B,)), commutator((A,), (B_,)))
+    assert germ_at_omega(CLASSES["j3"], word) != germ_at_omega(CLASSES["j3"], ())
