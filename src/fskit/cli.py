@@ -5,11 +5,14 @@ Subcommands operate on a presentation file (DSL: `colors a b` then
 either signed generator words (`A1 B1^-1`) or fractions
 (`[ b1 | id | a1 ]`).
 
-Exit codes: 0 success, 1 usage/parse error (also check-simple --max-len < 1,
-plot --depth < 0 and svg plot --width or --height < 1), 2 validation error
-(also classify-element or compare on a map that is not a bijection, and
-eval at a point outside the map's domain, which prints `undefined at <p>`),
-10 check-simple found a collapse.
+Exit codes: 0 success; 1 usage or parse error, `error:` on stderr (a bad
+option or point, a missing file, a fraction literal or generator token
+that does not parse, check-simple --max-len < 1, plot --depth < 0 and svg
+plot --width or --height < 1); 2 invalid input, `invalid:` on stderr (a
+presentation that does not parse or validate, a malformed caret token or
+leaf index in a fraction or a `rel` line, classify-element or compare on a
+map that is not a bijection), and eval at a point outside the map's domain,
+which prints `undefined at <p>`; 10 check-simple found a collapse.
 """
 
 from __future__ import annotations

@@ -97,7 +97,7 @@ def parse_signed_word(text: str) -> SignedWord:
 
 def _total_form(f: Eppm, error: EppmError) -> Eppm:
     """The normal form of f.  Raises `error` unless f is total, and, when
-    `error` is a NotBijective, unless its inverse is total too.
+    `error` is a NotBijective, unless its inverse is a total map too.
 
     The form is marked `total`, and then `bijective`, only once that check
     has passed, and a check whose mark is set is skipped: the marks are
@@ -109,7 +109,13 @@ def _total_form(f: Eppm, error: EppmError) -> Eppm:
             raise error
         object.__setattr__(f, "total", True)
     if isinstance(error, NotBijective) and not f.bijective:
-        if not is_total(invert(f)):
+        try:
+            onto = is_total(invert(f))
+        except EppmError as exc:
+            # canonicalize refuses invert(f) only where it is not a map,
+            # so f is not injective
+            raise error from exc
+        if not onto:
             raise error
         object.__setattr__(f, "bijective", True)
     return f
@@ -308,9 +314,6 @@ class FixedLadder:
     suffix: str
     tail: str
 
-    def point(self, m: int) -> EvPeriodic:
-        return ev_periodic(self.base + "1" * (m * self.step) + self.suffix, self.tail)
-
 
 @dataclass(frozen=True)
 class Support:
@@ -332,7 +335,7 @@ class Support:
     fixed_points: tuple[EvPeriodic, ...]
     fixed_ladders: tuple[FixedLadder, ...]
     moved_cones: tuple[str, ...]
-    fixed_cone_ladders: tuple[tuple[str, int, str], ...] = ()
+    fixed_cone_ladders: tuple[tuple[str, int, str], ...]
 
 
 def _extension(piece: Piece) -> Optional[tuple[str, str]]:

@@ -7,14 +7,13 @@ until the rendered width drops under 2^-depth; beyond that the pieces are
 elided and the accumulation point is recorded.  Everything is exact: all
 endpoints and images are integer numerators over powers of two, and
 slopes are powers of two.  Neither floats nor `Fraction` enter the data
-path (tests read `Dyadic.value` and `PlPiece.apply`); SVG output
-serialises coordinates at 9 decimal digits, rounded half to even.
+path; SVG output serialises coordinates at 9 decimal digits, rounded half
+to even.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .eppm import Eppm, EppmError, NotOrderPreserving, canonicalize, slabs
 from . import dynamics
@@ -35,16 +34,9 @@ class Dyadic:
         if self.exp < 0 or (self.exp > 0 and self.num % 2 == 0):
             raise ValueError(f"unnormalized dyadic {self.num}/2^{self.exp}")
 
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.num, 2**self.exp)
-
     # a / 2^e < b / 2^f exactly when a.2^f < b.2^e
     def __lt__(self, other: "Dyadic") -> bool:
         return self.num << other.exp < other.num << self.exp
-
-    def __le__(self, other: "Dyadic") -> bool:
-        return self.num << other.exp <= other.num << self.exp
 
     def __str__(self) -> str:
         return decimal_string(self)
@@ -75,16 +67,11 @@ class PlPiece:
     slope_exp: int
     intercept: Dyadic  # x -> 2^slope_exp * x + intercept on [left, right)
 
-    def apply(self, x: Fraction) -> Fraction:
-        return Fraction(2) ** self.slope_exp * x + self.intercept.value
-
 
 @dataclass(frozen=True)
 class PlMap:
     pieces: tuple[PlPiece, ...]
     accumulation_points: tuple[Dyadic, ...]
-    truncation_depth: int
-    domain_kind: str  # "interval" | "circle"
 
 
 def _cone_piece(dom: str, ran: str) -> PlPiece:
@@ -123,7 +110,7 @@ def to_interval_map(f: Eppm, depth: int = 12) -> PlMap:
     if not dynamics.is_order_preserving(f):
         raise NotOrderPreserving("interval rendering needs an order-preserving map")
     pieces, accumulation = _expand(f, depth)
-    return PlMap(tuple(pieces), tuple(accumulation), depth, "interval")
+    return PlMap(tuple(pieces), tuple(accumulation))
 
 
 def to_circle_map(f: Eppm, depth: int = 12) -> PlMap:
@@ -131,7 +118,7 @@ def to_circle_map(f: Eppm, depth: int = 12) -> PlMap:
     if not dynamics.is_cyclic_order_preserving(f):
         raise NotCyclicOrderPreserving("circle rendering needs a cyclic-order map")
     pieces, accumulation = _expand(f, depth)
-    m = PlMap(tuple(pieces), tuple(accumulation), depth, "circle")
+    m = PlMap(tuple(pieces), tuple(accumulation))
     _validate_circle_continuity(m)
     return m
 
@@ -153,8 +140,8 @@ def _validate_circle_continuity(m: PlMap) -> None:
         e = max(e1, e2)
         if ((n1 << (e - e1)) - (n2 << (e - e2))) % (1 << e):
             raise NotCyclicOrderPreserving(
-                f"discontinuity at {a.right}: {a.apply(a.right.value) % 1} vs "
-                f"{b.apply(b.left.value) % 1}"
+                f"discontinuity at {a.right}: {dyadic(n1 % (1 << e1), e1)} vs "
+                f"{dyadic(n2 % (1 << e2), e2)}"
             )
 
 

@@ -70,7 +70,6 @@ class TwoColourRightVine:
 
     colour_a: str
     colour_b: str
-    x: Tree
     n: int  # leaves of x (and of rho)
     M: int  # carets of x (and of rho)
     L_x: int  # length of the left side of x
@@ -164,7 +163,6 @@ def classify(p: SkeinPresentation) -> Classification:
             return TwoColourRightVine(
                 colour_a=a,
                 colour_b=b,
-                x=x,
                 n=leaf_count(x),
                 M=caret_count(x),
                 L_x=len(leaves[0]),

@@ -2,7 +2,9 @@
 intercept as exact rationals, pieces sorted by their left end's value,
 circle continuity checked mod 1 on rationals, and SVG coordinates rounded
 from `Fraction`.  `fskit.plrender` computes the same plots on integer
-numerators over powers of two; tests check the two agree byte for byte."""
+numerators over powers of two; tests check the two agree byte for byte,
+and read rendered dyadics and pieces as rationals through `value` and
+`apply`."""
 
 from __future__ import annotations
 
@@ -25,6 +27,15 @@ def from_fraction(fr: Fraction) -> Dyadic:
     if 2**exp != den:
         raise ValueError(f"{fr} is not dyadic")
     return dyadic(fr.numerator, exp)
+
+
+def value(d: Dyadic) -> Fraction:
+    return Fraction(d.num, 2**d.exp)
+
+
+def apply(p: PlPiece, x: Fraction) -> Fraction:
+    """p(x) = 2^slope_exp.x + intercept."""
+    return Fraction(2) ** p.slope_exp * x + value(p.intercept)
 
 
 def cone_left(prefix: str) -> Fraction:
@@ -69,8 +80,8 @@ def _expand(f: Eppm, depth: int) -> tuple[list[PlPiece], list[Dyadic]]:
                 pl.append(_piece_to_pl(piece.dom, piece.ran))
         sup = cone_left(fam.dom_base) + cone_width(fam.dom_base)
         accumulation.append(from_fraction(sup))
-    pl.sort(key=lambda q: q.left.value)
-    return pl, sorted(dict.fromkeys(accumulation), key=lambda d: d.value)
+    pl.sort(key=lambda q: value(q.left))
+    return pl, sorted(dict.fromkeys(accumulation), key=value)
 
 
 def to_interval_map(f: Eppm, depth: int = 12) -> PlMap:
@@ -78,7 +89,7 @@ def to_interval_map(f: Eppm, depth: int = 12) -> PlMap:
     if not dynamics.is_order_preserving(f):
         raise NotOrderPreserving("interval rendering needs an order-preserving map")
     pieces, accumulation = _expand(f, depth)
-    return PlMap(tuple(pieces), tuple(accumulation), depth, "interval")
+    return PlMap(tuple(pieces), tuple(accumulation))
 
 
 def to_circle_map(f: Eppm, depth: int = 12) -> PlMap:
@@ -86,7 +97,7 @@ def to_circle_map(f: Eppm, depth: int = 12) -> PlMap:
     if not dynamics.is_cyclic_order_preserving(f):
         raise NotCyclicOrderPreserving("circle rendering needs a cyclic-order map")
     pieces, accumulation = _expand(f, depth)
-    m = PlMap(tuple(pieces), tuple(accumulation), depth, "circle")
+    m = PlMap(tuple(pieces), tuple(accumulation))
     _validate_circle_continuity(m)
     return m
 
@@ -97,11 +108,12 @@ def _validate_circle_continuity(m: PlMap) -> None:
     for a, b in zip(m.pieces, m.pieces[1:]):
         if a.right != b.left:
             continue
-        left_val = a.apply(a.right.value) % 1
-        right_val = b.apply(b.left.value) % 1
+        left_val = apply(a, value(a.right)) % 1
+        right_val = apply(b, value(b.left)) % 1
         if left_val != right_val:
             raise NotCyclicOrderPreserving(
-                f"discontinuity at {a.right}: {left_val} vs {right_val}"
+                f"discontinuity at {a.right}: {from_fraction(left_val)} vs "
+                f"{from_fraction(right_val)}"
             )
 
 
@@ -143,15 +155,15 @@ def emit_svg(m: PlMap, width: int = 512, height: int = 512) -> str:
         'stroke="#cccccc" stroke-width="1" stroke-dasharray="4 4"/>',
     ]
     for p in m.pieces:
-        x0, x1 = p.left.value, p.right.value
-        y0, y1 = p.apply(x0), p.apply(x1)
+        x0, x1 = value(p.left), value(p.right)
+        y0, y1 = apply(p, x0), apply(p, x1)
         lines.append(
             f'<line x1="{x(x0)}" y1="{y(y0)}" x2="{x(x1)}" y2="{y(y1)}" '
             'stroke="black" stroke-width="2"/>'
         )
     for a in m.accumulation_points:
         lines.append(
-            f'<circle cx="{x(a.value)}" cy="{y(Fraction(0))}" r="3" '
+            f'<circle cx="{x(value(a))}" cy="{y(Fraction(0))}" r="3" '
             'fill="none" stroke="red" stroke-width="1"/>'
         )
     lines.append("</svg>")

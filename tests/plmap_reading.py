@@ -9,7 +9,7 @@ from typing import Union
 
 from fskit.plrender import CSV_HEADER, Dyadic, PlMap, PlPiece
 
-from fraction_render import from_fraction
+from fraction_render import from_fraction, value
 
 
 def breakpoints(m: PlMap) -> list[tuple[Dyadic, int, int]]:
@@ -34,15 +34,15 @@ def fixed_points(m: PlMap) -> list[FixedSet]:
     for p in m.pieces:
         slope = Fraction(2) ** p.slope_exp
         if slope == 1 and p.intercept.num == 0:
-            out.append(("interval", p.left.value, p.right.value))
+            out.append(("interval", value(p.left), value(p.right)))
         elif slope != 1:
-            x = p.intercept.value / (1 - slope)
-            if p.left.value <= x < p.right.value:
+            x = value(p.intercept) / (1 - slope)
+            if value(p.left) <= x < value(p.right):
                 out.append(("point", x))
     return out
 
 
-def parse_csv(text: str, domain_kind: str = "interval") -> PlMap:
+def parse_csv(text: str) -> PlMap:
     lines = [ln for ln in text.strip().splitlines() if ln]
     if lines[0] != CSV_HEADER:
         raise ValueError("bad CSV header")
@@ -57,4 +57,4 @@ def parse_csv(text: str, domain_kind: str = "interval") -> PlMap:
                 Dyadic(int(inum), int(iexp)),
             )
         )
-    return PlMap(tuple(pieces), (), 0, domain_kind)
+    return PlMap(tuple(pieces), ())

@@ -373,6 +373,34 @@ def test_fraction_perm_not_a_permutation(fsp, capsys):
     assert err == "invalid: perm (1, 3) is not a permutation of 1..2\n"
 
 
+@pytest.mark.parametrize(
+    "element, code, err",
+    [
+        # a caret word is checked as a presentation's is: invalid input
+        ("[a1 | id | a0]", 2, "invalid: leaf index must be >= 1 in 'a0'\n"),
+        ("[a1 | id | x]", 2, "invalid: bad caret token 'x'\n"),
+        # a fraction literal or generator token that does not parse
+        ("[a1 | id", 1, "error: bad fraction literal '[a1 | id'\n"),
+        ("A2", 1, "error: bad generator token 'A2'\n"),
+    ],
+)
+def test_malformed_element_exit_codes(fsp, capsys, element, code, err):
+    assert run(capsys, "classify-element", fsp(J3_TEXT), "-e", element) == (code, "", err)
+
+
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ("colors a b\nrel a1 a0 = b1 b2\n", "invalid: leaf index must be >= 1 in 'a0'\n"),
+        ("colors a b\nrel a1 a3 = b1 b2\n", "invalid: leaf index 3 out of range 1..2\n"),
+        ("colors a b\ncolors a b\n", "invalid: line 2: duplicate colors line\n"),
+        ("colors a b\nrel a1 b1\n", "invalid: line 2: rel needs '='\n"),
+    ],
+)
+def test_malformed_presentation_is_invalid(fsp, capsys, text, err):
+    assert run(capsys, "validate", fsp(text)) == (2, "", err)
+
+
 def test_canon_of_equal_words(fsp, capsys):
     path = fsp(J3_TEXT)
     _, first, _ = run(capsys, "canon", path, "-e", "B1^-1")

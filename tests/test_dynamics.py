@@ -48,6 +48,7 @@ from fskit.forest import (
     leaf_path,
     parse_caret_word,
 )
+from fskit.presentation import UnsupportedClass
 from fskit.sequences import ev_periodic, parse_point
 
 import stream_oracle
@@ -262,6 +263,15 @@ def test_parse_fraction():
     assert leaf_count(t) == 2 and perm == (1, 2)
     t, perm, s = parse_fraction("[a1 | 2 1 | a1]")
     assert perm == (2, 1)
+    with pytest.raises(ValueError, match="bad fraction literal"):
+        parse_fraction("[a1 | id")
+
+
+def test_words_and_carets_outside_the_class_are_refused(j3):
+    with pytest.raises(ValueError, match="bad exponent 2"):
+        evaluate_word(j3, (("A1", 2),))
+    with pytest.raises(UnsupportedClass, match="unknown colour 'c'"):
+        caret_map(j3, "c", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -432,16 +442,21 @@ def test_support_identity():
     assert not s.moved_cones
 
 
+def ladder_point(ladder, m):
+    """The fixed point base.1^{m step}.suffix.(tail)^inf of a FixedLadder."""
+    return ev_periodic(ladder.base + "1" * (m * ladder.step) + ladder.suffix, ladder.tail)
+
+
 def test_support_yb_ya(j3):
     f = fraction_yb_ya(j3)
     s = support(f)
     assert parse_point("(1)") in s.fixed_points
     # (0) is the first point of the ladder 1^(2m).0.(0)^inf
-    assert parse_point("(0)") in [ladder.point(0) for ladder in s.fixed_ladders]
+    assert parse_point("(0)") in [ladder_point(ladder, 0) for ladder in s.fixed_ladders]
     assert s.fixed_ladders  # infinitely many fixed points accumulating at 1
     ladder = s.fixed_ladders[0]
     for m in range(5):
-        p = ladder.point(m)
+        p = ladder_point(ladder, m)
         assert evaluate(f, p) == p
 
 
@@ -564,6 +579,17 @@ def test_support_refuses_a_family_whose_ranges_nest():
         support(f)
 
 
+def test_a_map_that_is_not_injective_is_not_a_bijection():
+    # the map above: its inverse is not a map, so canonicalize refuses it,
+    # and the bijection gate reports that as NotBijective
+    f = make_eppm(families=[Family("", "", 2, 1, (("0", ""), ("10", "0")))])
+    with pytest.raises(NotBijective, match="^F/T/V membership requires a bijection"):
+        classify_element(f)
+    for pair in ((f, IDENTITY), (IDENTITY, f)):
+        with pytest.raises(NotBijective, match="^the bi-order requires a bijection"):
+            bi_order_compare(*pair)
+
+
 def test_lined_up_layer_is_the_only_one():
     # a block x.1^(n+Mp).0.u -> z.1^(a+Mq).0.r with (z, q) != (x, p): dom
     # and ran extend one another at no layer but the lined-up one
@@ -680,6 +706,11 @@ def test_germ_at_an_isolated_limit_is_refused(j3):
     assert evaluate(f, top) == p
     with pytest.raises(ValueError, match="isolated limit"):
         germ_at(f, top)
+
+
+def test_germ_at_needs_a_tail_1_point():
+    with pytest.raises(ValueError, match="tail-"):
+        germ_at(IDENTITY, parse_point("(0)"))
 
 
 def test_germ_b1_differs_from_powers(j3):

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from fskit.forest import (
     LEAF,
     End,
+    ForestError,
     IndexOutOfRange,
     Tree,
     build_tree,
@@ -52,6 +53,17 @@ def test_build_tree_depth_two():
 def test_build_tree_bad_index():
     with pytest.raises(IndexOutOfRange):
         build_tree((("a", 1), ("a", 3)))
+
+
+def test_malformed_trees_and_words_are_refused():
+    with pytest.raises(ForestError, match="both children"):
+        Tree("a", LEAF, None)
+    with pytest.raises(ForestError, match="bad caret token 'A1'"):
+        parse_caret_word("a1 A1")
+    with pytest.raises(ForestError, match="leaf index must be >= 1 in 'a0'"):
+        parse_caret_word("a1 a0")
+    with pytest.raises(IndexOutOfRange, match="leaf index 3 out of range 1..2"):
+        leaf_path(caret("a"), 3)
 
 
 def test_caret_word_round_trip():

@@ -1,8 +1,9 @@
 """Rules the fskit package keeps: no assert statements (they vanish under
 python -O, so they cannot guard anything), standard-library imports only,
-no module reaching into another's _-prefixed names, and no top-level
-definition that nothing in the package uses unless the README documents
-it (test-only helpers live in tests/)."""
+no module reaching into another's _-prefixed names, no top-level
+definition that nothing in the package uses, and no method or property
+that nothing in the package or the benchmark reads, unless the README
+documents it (test-only helpers live in tests/)."""
 
 import ast
 import sys
@@ -13,9 +14,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "fskit").glob("*.py"))
+# the benchmark drives the package from outside it, so what it reads counts
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 
 # Library entry points that no other fskit definition uses, each with the
-# README text that documents it.
+# README text that documents it; a method or property is named
+# "Class.member".
 DOCUMENTED = {
     ("dynamics", "germ_at"): "`germ_at(f, p)`",
     ("dynamics", "support"): "`support(f)`",
@@ -150,6 +154,11 @@ def _package() -> dict[str, ast.Module]:
 
 
 @cache
+def _benchmark() -> list[ast.Module]:
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in BENCHMARK]
+
+
+@cache
 def _used() -> frozenset[tuple[str, str]]:
     """(module, name) of every top-level definition that another top-level
     definition of the package uses."""
@@ -177,8 +186,68 @@ def test_every_definition_is_used_or_documented(path):
     assert unused == [], f"{path.name}: nothing in src/fskit uses {unused}"
 
 
+def _members(tree: ast.Module):
+    """("Class.member", node) for every method and property of a top-level
+    class, dunder names apart."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                    yield f"{cls.name}.{node.name}", node
+
+
+def _unread_members(package: dict[str, ast.Module], readers: list[ast.Module]):
+    """(module, "Class.member") for every member of `package` whose name no
+    attribute read in `package` or `readers` names, outside the member's
+    own body.  The match is by name alone: a read of any attribute of that
+    name counts, as the CLI's `args.point` would for a method `point`."""
+    loads: dict[str, list[ast.Attribute]] = {}
+    for tree in [*package.values(), *readers]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.setdefault(node.attr, []).append(node)
+    unread = []
+    for module, tree in package.items():
+        for name, member in _members(tree):
+            own = {id(node) for node in ast.walk(member)}
+            if all(id(node) in own for node in loads.get(member.name, [])):
+                unread.append((module, name))
+    return sorted(set(unread) - set(DOCUMENTED))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_member_is_read_or_documented(path):
+    """Every method and property of a src/fskit class is read as an
+    attribute somewhere in src/fskit or perfbench outside its own body, or
+    a README-documented entry point in DOCUMENTED."""
+    unread = [
+        name for module, name in _unread_members(_package(), _benchmark()) if module == path.stem
+    ]
+    assert unread == [], f"{path.name}: nothing in src/fskit or perfbench reads {unread}"
+
+
+def test_member_rule_flags_unread_members():
+    planted = ast.parse(
+        "class Planted:\n"
+        "    def unread(self):\n"
+        "        return self.unread()\n"
+        "    @property\n"
+        "    def unread_property(self):\n"
+        "        return 0\n"
+        "    def read(self):\n"
+        "        return 1\n"
+        "def use(p):\n"
+        "    return p.read()\n"
+    )
+    assert _unread_members({"planted": planted}, []) == [
+        ("planted", "Planted.unread"),
+        ("planted", "Planted.unread_property"),
+    ]
+
+
 @pytest.mark.parametrize("key", sorted(DOCUMENTED), ids=".".join)
 def test_documented_entry_points_exist_and_are_in_the_readme(key):
     module, name = key
-    assert name in dict(_top_level_definitions(_package()[module]))
+    tree = _package()[module]
+    assert name in dict(_top_level_definitions(tree)) | dict(_members(tree))
     assert DOCUMENTED[key] in (ROOT / "README.md").read_text(encoding="utf-8")

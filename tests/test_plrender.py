@@ -23,7 +23,7 @@ from fskit.sequences import ev_periodic
 
 import fraction_render
 from conftest import random_tree
-from fraction_render import cone_left, from_fraction
+from fraction_render import apply, cone_left, from_fraction, value
 from plmap_reading import breakpoints, fixed_points, parse_csv
 
 
@@ -88,14 +88,14 @@ def test_yb_ya_interval(j3):
 def assert_pieces_match_evaluation(f, m):
     for piece in m.pieces:
         # left endpoint: the image of the cone's infimum point
-        width = piece.right.value - piece.left.value
+        width = value(piece.right) - value(piece.left)
         depth = width.denominator.bit_length() - 1
-        num = int(piece.left.value * 2**depth)
+        num = int(value(piece.left) * 2**depth)
         prefix = format(num, f"0{depth}b") if depth else ""
         image = evaluate(f, ev_periodic(prefix, "0"))
-        assert piece.apply(piece.left.value) == image.to_fraction()
+        assert apply(piece, value(piece.left)) == image.to_fraction()
         image_sup = evaluate(f, ev_periodic(prefix, "1"))
-        assert piece.apply(piece.right.value) == image_sup.to_fraction()
+        assert apply(piece, value(piece.right)) == image_sup.to_fraction()
 
 
 def test_yb_ya_pieces_match_evaluation(j3):
@@ -133,7 +133,7 @@ def test_monotone(j3):
     m = to_interval_map(f, 12)
     values = []
     for p in m.pieces:
-        values.append((p.left.value, p.apply(p.left.value)))
+        values.append((value(p.left), apply(p, value(p.left))))
     assert values == sorted(values)
     ys = [y for _, y in values]
     assert ys == sorted(ys)
@@ -144,8 +144,8 @@ def test_circle_map_rotation(j3):
     m = to_circle_map(f, 12)
     assert len(m.pieces) == 2
     # x -> x + 1/2 (mod 1)
-    assert m.pieces[0].apply(Fraction(0)) == Fraction(1, 2)
-    assert m.pieces[1].apply(Fraction(1, 2)) == Fraction(0)
+    assert apply(m.pieces[0], Fraction(0)) == Fraction(1, 2)
+    assert apply(m.pieces[1], Fraction(1, 2)) == Fraction(0)
     assert all(p.slope_exp == 0 for p in m.pieces)
 
 
@@ -156,7 +156,7 @@ def test_interval_rejects_rotation(j3):
 
 def test_circle_map_of_f_type_fixes_zero(j3):
     m = to_circle_map(yb_ya(j3), 12)
-    assert m.pieces[0].apply(Fraction(0)) == Fraction(0)
+    assert apply(m.pieces[0], Fraction(0)) == Fraction(0)
 
 
 def test_breakpoints_grow_with_depth(j3):
@@ -250,8 +250,8 @@ def test_circle_continuity_matches_fraction_reference():
     rotation = (PlPiece(dyadic(0), half, 0, half), PlPiece(half, dyadic(1), 0, dyadic(-1, 1)))
     jump = (PlPiece(dyadic(0), half, 0, dyadic(0)), PlPiece(half, dyadic(1), 0, quarter))
     gap = (PlPiece(dyadic(0), quarter, 0, dyadic(0)), PlPiece(half, dyadic(1), 0, quarter))
-    for pieces, message in ((rotation, None), (jump, "discontinuity at 0.5: 1/2 vs 3/4"), (gap, None)):
-        m = PlMap(pieces, (), 2, "circle")
+    for pieces, message in ((rotation, None), (jump, "discontinuity at 0.5: 0.5 vs 0.75"), (gap, None)):
+        m = PlMap(pieces, ())
         for check in (plrender._validate_circle_continuity, fraction_render._validate_circle_continuity):
             if message is None:
                 check(m)
@@ -263,7 +263,7 @@ def test_circle_continuity_matches_fraction_reference():
 def test_svg_rounds_ties_to_even(j3):
     # x = k/2^10 with k odd at an odd size s has 10th decimal 5 and nothing
     # after it: an exact tie at 9 decimals, rounded to the even neighbour
-    m = PlMap((PlPiece(dyadic(1, 10), dyadic(3, 10), 0, dyadic(0)),), (), 10, "interval")
+    m = PlMap((PlPiece(dyadic(1, 10), dyadic(3, 10), 0, dyadic(0)),), ())
     svg = emit_svg(m, 3, 7)
     assert svg == fraction_render.emit_svg(m, 3, 7)
     assert 'x1="0.002929688"' in svg  # 0.0029296875, up to even
@@ -273,8 +273,8 @@ def test_svg_rounds_ties_to_even(j3):
     f = yb_ya(j3)
     for depth in (10, 12):
         m = to_interval_map(f, depth)
-        ends = [x for p in m.pieces for x in (p.left.value, p.right.value)]
-        ends += [1 - p.apply(x) for p in m.pieces for x in (p.left.value, p.right.value)]
+        ends = [x for p in m.pieces for x in (value(p.left), value(p.right))]
+        ends += [1 - apply(p, x) for p in m.pieces for x in (value(p.left), value(p.right))]
         for size in (3, 7, 511):
             scaled = [size * x * 10**9 for x in ends]
             ties = [int(t) for t in scaled if t.denominator == 2]

@@ -7,6 +7,7 @@ from fskit.presentation import (
     GENERAL,
     AbelianInvariants,
     LeafCountMismatch,
+    SkeinPresentation,
     TwoColourRightVine,
     UnknownColour,
     abelianisation,
@@ -75,6 +76,16 @@ def test_parse_rejects_garbage():
         parse_presentation("rel a1 = a1\n")
     with pytest.raises(PresentationError):
         parse_presentation("colors a\nfoo\n")
+    for text, message in (
+        ("colors a b\ncolors a b\n", "line 2: duplicate colors line"),
+        ("colors a a\n", "line 1: bad colour list"),
+        ("colors\n", "line 1: bad colour list"),
+        ("colors a b\nrel a1 b1\n", "line 2: rel needs '='"),
+    ):
+        with pytest.raises(PresentationError, match=message):
+            parse_presentation(text)
+    with pytest.raises(PresentationError, match="empty colour list"):
+        validate(SkeinPresentation((), ()))
 
 
 def test_classify_j3():
@@ -122,6 +133,9 @@ def test_abelianisation_values():
         assert abelianisation(presentation(h_class_text(k))) == AbelianInvariants(k - 1, ())
     # Thompson <a | >: trivial
     assert abelianisation(presentation("colors a\n")) == AbelianInvariants(0, ())
+    # free colours: each one past the distinguished one adds a Z
+    assert str(abelianisation(presentation("colors a b\n"))) == "Z"
+    assert str(abelianisation(presentation("colors a b c\n"))) == "Z^2"
 
 
 def test_abelianisation_invariance():
@@ -155,6 +169,9 @@ def test_germ_presentation_g_class():
 def test_germ_presentation_first_leaf():
     out = germ_presentation(presentation(J3_TEXT), End.FIRST)
     assert out.relators == ((("a", "a"), ("b",)),)
+    # a relation between two leaves prunes to empty words, printed as 1
+    out = germ_presentation(presentation("colors a b\nrel =\n"), End.FIRST)
+    assert str(out) == "< a, b | 1 = 1 >"
 
 
 def test_good_word_check(j3):
