@@ -206,7 +206,11 @@ def parse_fraction(text: str) -> tuple[Tree, tuple[int, ...], Tree]:
     if perm_text == "id":
         perm = identity_perm(leaf_count(s))
     else:
-        perm = tuple(int(x) for x in perm_text.split())
+        try:
+            perm = tuple(int(x) for x in perm_text.split())
+        except ValueError:
+            bad = f"bad permutation {perm_text!r} in fraction literal {text!r}"
+            raise ValueError(bad) from None
     return t, perm, s
 
 
@@ -242,51 +246,47 @@ def _cone_before(a: str, b: str) -> bool:
     return not a.startswith(b) and not b.startswith(a) and a < b
 
 
-def _family_ran_sorted(fam: Family) -> bool:
-    """Blocks sorted by dom must have sorted ranges within a layer, and the
-    last range of one layer must precede the first of the next (uniform in
-    the layer index, so one check suffices)."""
-    blocks = sorted(fam.blocks)
-    rans = [fam.ran_base + r for _, r in blocks]
-    if not all(_cone_before(a, b) for a, b in zip(rans, rans[1:])):
-        return False
-    return _cone_before(blocks[-1][1], "1" * fam.ran_step + blocks[0][1])
+def _order_class(f: Eppm) -> str:
+    """'F' if the checked total normal form f keeps the order of the
+    Cantor space, 'T' if it keeps the cyclic order, else 'V'.
 
-
-def _ran_keys(f: Eppm) -> Optional[list[str]]:
-    """The least range cone of each atom of the checked total normal form
-    f, in domain order; None if some family's own ranges are out of order.
-    Word order is the order of the cones' least points: u.0... < u.1...,
-    and u < u.w, the points tying when w is all 0s."""
-    if not all(_family_ran_sorted(fam) for fam in f.families):
-        return None
-    entries = [(p.dom, p.ran) for p in f.pieces]
+    Two families at one accumulation point have range runs that grow at
+    different rates or head for different points, so they cross infinitely
+    often; so does a family whose ranges, blocks sorted by dom, are out of
+    order within a layer or from one layer to the next.  Otherwise each
+    atom, in domain order, has a least range cone and a covering cone: a
+    piece's range for both, a family's least block's range and its range
+    base, which holds every layer and the limit.  A descent is a covering
+    cone not wholly before the next atom's least range, wrapping round."""
+    atoms = [(p.dom, p.ran, p.ran) for p in f.pieces]
+    points = set()
     for fam in f.families:
-        d, r = min(fam.blocks)
-        entries.append((fam.dom_base + d, fam.ran_base + r))
-    entries.sort()
-    return [r for _, r in entries]
-
-
-def _ascending(rans: Optional[list[str]]) -> bool:
-    return rans is not None and all(a < b for a, b in zip(rans, rans[1:]))
-
-
-def _cyclically_ascending(rans: Optional[list[str]]) -> bool:
-    if rans is None:
-        return False
-    descents = sum(1 for a, b in zip(rans, rans[1:] + rans[:1]) if not a < b)
-    return descents <= 1
+        point = fam.dom_base.rstrip("1")
+        blocks = sorted(fam.blocks)
+        rans = [r for _, r in blocks] + ["1" * fam.ran_step + blocks[0][1]]
+        if point in points or not all(map(_cone_before, rans, rans[1:])):
+            return "V"
+        points.add(point)
+        d, r = blocks[0]
+        atoms.append((fam.dom_base + d, fam.ran_base + r, fam.ran_base))
+    atoms.sort()
+    descents = [
+        not _cone_before(cover, least)
+        for (_, _, cover), (_, least, _) in zip(atoms, atoms[1:] + atoms[:1])
+    ]
+    if not any(descents[:-1]):
+        return "F"
+    return "T" if sum(descents) <= 1 else "V"
 
 
 def is_order_preserving(f: Eppm) -> bool:
     f = _total_form(f, NotTotal("order test requires a total map"))
-    return _ascending(_ran_keys(f))
+    return _order_class(f) == "F"
 
 
 def is_cyclic_order_preserving(f: Eppm) -> bool:
     f = _total_form(f, NotTotal("cyclic order test requires a total map"))
-    return _cyclically_ascending(_ran_keys(f))
+    return _order_class(f) != "V"
 
 
 def classify_element(f: Eppm) -> str:
@@ -295,10 +295,7 @@ def classify_element(f: Eppm) -> str:
     f = _total_form(
         f, NotBijective("F/T/V membership requires a bijection of the Cantor space")
     )
-    rans = _ran_keys(f)
-    if _ascending(rans):
-        return "F"
-    return "T" if _cyclically_ascending(rans) else "V"
+    return _order_class(f)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +492,7 @@ def bi_order_compare(f: Eppm, g: Eppm) -> str:
         m = _total_form(
             m, NotBijective("the bi-order requires a bijection of the Cantor space")
         )
-        if not _ascending(_ran_keys(m)):
+        if _order_class(m) != "F":
             raise NotOrderPreserving("bi-order needs order-preserving inputs")
         forms.append(m)
     f, g = forms

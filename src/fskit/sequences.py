@@ -20,10 +20,7 @@ class PointSyntaxError(ValueError):
 
 def _primitive(v: str) -> str:
     n = len(v)
-    for d in range(1, n + 1):
-        if n % d == 0 and v == v[:d] * (n // d):
-            return v[:d]
-    return v
+    return next((v[:d] for d in range(1, n) if n % d == 0 and v == v[:d] * (n // d)), v)
 
 
 @dataclass(frozen=True)

@@ -381,6 +381,7 @@ def test_fraction_perm_not_a_permutation(fsp, capsys):
         ("[a1 | id | x]", 2, "invalid: bad caret token 'x'\n"),
         # a fraction literal or generator token that does not parse
         ("[a1 | id", 1, "error: bad fraction literal '[a1 | id'\n"),
+        ("[a1 | x | a1]", 1, "error: bad permutation 'x' in fraction literal '[a1 | x | a1]'\n"),
         ("A2", 1, "error: bad generator token 'A2'\n"),
     ],
 )

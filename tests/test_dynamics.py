@@ -1,9 +1,10 @@
 import random
 from dataclasses import replace
+from functools import cmp_to_key
 
 import pytest
 
-from fskit import dynamics
+from fskit import dynamics, plrender
 from fskit.dynamics import (
     FixedLadder,
     Support,
@@ -56,6 +57,7 @@ from forest_algebra import compose as compose_forest
 from leaf_fold import beta_path, fold_fraction
 from point_relations import compare, tail_equivalent
 from conftest import (
+    random_fraction,
     random_point,
     random_signed_word,
     random_tree,
@@ -356,6 +358,13 @@ def test_family_with_unsorted_ranges_is_v_type():
     assert not is_order_preserving(f)
     assert not is_cyclic_order_preserving(f)
     assert classify_element(f) == "V"
+    # in order within a layer, but block 01 of layer m lands after block 00
+    # of layer m + 1: 01(0) < 100(0) go to 11(0) > 1(0)
+    g = make_eppm(families=[Family("", "", 1, 1, (("00", "0"), ("01", "11")))])
+    assert evaluate(g, parse_point("01(0)")) == parse_point("11(0)")
+    assert evaluate(g, parse_point("100(0)")) == parse_point("1(0)")
+    assert not is_order_preserving(g)
+    assert not is_cyclic_order_preserving(g)
 
 
 def test_each_query_checks_totality_once(j3, monkeypatch):
@@ -942,6 +951,105 @@ def test_order_tests_match_pointwise_truth(j3, nonsimple4, cleary2, rho2):
         cyclic = linear + (1 if compare(imgs[-1], imgs[0]) >= 0 else 0)
         assert is_order_preserving(h) == (linear == 0)
         assert is_cyclic_order_preserving(h) == (cyclic <= 1)
+
+
+def _order_corpus(rng, cls):
+    """Total maps: random fractions, rotations [t | k-cycle | s], products
+    of two of these, and the signed words that are total."""
+
+    def rotation():
+        s = random_tree(rng, rng.randint(1, 4))
+        t = random_tree(rng, leaf_count(s) - 1)
+        n = leaf_count(s)
+        k = rng.randrange(n)
+        return evaluate_fraction(cls, t, tuple((j + k) % n + 1 for j in range(n)), s)
+
+    def element():
+        return rotation() if rng.random() < 0.5 else random_fraction(cls, rng)
+
+    maps = [element() for _ in range(15)]
+    maps += [compose(element(), element()) for _ in range(10)]
+    words = (evaluate_word(cls, random_signed_word(rng, rng.randint(1, 5))) for _ in range(30))
+    return maps + [w for w in words if is_total(w)]
+
+
+def test_order_answers_match_seeded_points(j3, nonsimple4, cleary2, rho2):
+    # an independent check of the order reading: where it answers F, seeded
+    # points sorted by point_relations.compare have images in the same
+    # order; where it answers T, their images make at most one descent
+    # round the circle
+    rng = random.Random(22)
+    seen = {"F": 0, "T": 0, "V": 0}
+    for cls in (j3, nonsimple4, cleary2, rho2):
+        for f in _order_corpus(rng, cls):
+            answer = "V"
+            if is_cyclic_order_preserving(f):
+                answer = "F" if is_order_preserving(f) else "T"
+            if f.bijective:
+                assert classify_element(f) == answer
+            seen[answer] += 1
+            pts = {random_point(rng) for _ in range(40)}
+            pts |= {parse_point("(0)"), parse_point("(1)")}
+            pts = sorted(pts, key=cmp_to_key(compare))
+            imgs = [evaluate(f, p) for p in pts]
+            descents = [compare(a, b) >= 0 for a, b in zip(imgs, imgs[1:] + imgs[:1])]
+            if answer == "F":
+                assert not any(descents[:-1]), (str(f), answer)
+            elif answer == "T":
+                assert sum(descents) <= 1, (str(f), answer)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_order_counterexamples_have_witnesses():
+    # read by each family's least range alone, these maps keep order; a
+    # pair of points (or, for the cyclic order, three) whose images come
+    # out of order shows that they do not
+    def images(f, *points):
+        """The images of points given in increasing order."""
+        pts = [parse_point(p) for p in points]
+        assert all(compare(p, q) < 0 for p, q in zip(pts, pts[1:]))
+        return [str(evaluate(f, p)) for p in pts]
+
+    # a bijection with two families at the point (1): their runs grow at
+    # rates 2 and 4, so they cross
+    a = make_eppm(
+        families=[
+            Family("", "", 1, 2, (("00", "0"),)),
+            Family("", "1", 1, 4, (("010", "0"), ("011", "110"))),
+        ]
+    )
+    assert is_total(a) and is_total(invert(a))
+    assert images(a, "1011(0)", "1100(0)") == ["1111111(0)", "1111(0)"]
+    assert classify_element(a) == "V"
+    assert not is_order_preserving(a)
+    with pytest.raises(NotOrderPreserving):
+        bi_order_compare(a, IDENTITY)
+    # the piece 1 -> 010 lands between the family's layers 0 and 1
+    b = make_eppm(pieces=[Piece("1", "010")], families=[Family("0", "0", 1, 2, (("0", "0"),))])
+    assert is_total(b)
+    assert images(b, "0(1)", "1(0)") == ["0(1)", "01(0)"]
+    # 001(0) < 0(1) < 1(0) go to 001(0) < 01(0) < 0(1): reversed round the circle
+    assert images(b, "001(0)", "0(1)", "1(0)") == ["001(0)", "0(1)", "01(0)"]
+    assert not is_order_preserving(b) and not is_cyclic_order_preserving(b)
+    with pytest.raises(NotOrderPreserving):
+        plrender.to_interval_map(b)
+    # total but not injective: 1 -> 01 lands inside 0 -> 0
+    c = make_eppm(pieces=[Piece("0", "0"), Piece("1", "01")])
+    assert is_total(c)
+    assert images(c, "01(0)", "1(0)") == ["01(0)", "01(0)"]
+    assert not is_order_preserving(c) and not is_cyclic_order_preserving(c)
+    # two families at the point (1) that head for 0(1) and (1): each keeps
+    # order, and their ranges lie in the cones 0 and 1, but their slabs
+    # alternate
+    d = make_eppm(
+        families=[
+            Family("", "0", 1, 1, (("00", "0"),)),
+            Family("", "1", 1, 1, (("01", "0"),)),
+        ]
+    )
+    assert is_total(d)
+    assert images(d, "001(0)", "01(0)", "100(0)") == ["001(0)", "1(0)", "01(0)"]
+    assert not is_order_preserving(d) and not is_cyclic_order_preserving(d)
 
 
 def test_germ_group_commutativity_dichotomy(j3):

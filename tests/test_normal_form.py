@@ -22,6 +22,7 @@ from conftest import (
     NONSIMPLE4_TEXT,
     RHO2_TEXT,
     random_fraction,
+    random_point,
     random_signed_word,
     split_at_root,
     unrolled,
@@ -35,6 +36,7 @@ from fskit.eppm import (
     canonicalize,
     compose,
     equals,
+    evaluate,
     invert,
     is_total,
     make_eppm,
@@ -338,3 +340,15 @@ def test_limit_kept_only_where_uncovered():
         make_eppm(pieces=[Piece("1", "1")], limits=[(inner, inner)])
     ) == make_eppm(pieces=[Piece("1", "1")])
 
+
+
+def test_a_tail_range_reduces_into_its_run():
+    # the siblings 1^n.00 -> 1^n.0 and 1^n.01 -> 1^n.1 merge into 1^n.0 ->
+    # 1^n, a tail range that is all run: not injective, but a map
+    f = make_eppm(families=[Family("", "", 1, 1, (("00", "0"), ("01", "1")))])
+    normal = canonicalize(f)
+    assert str(normal) == "{[e|1^1 -> e|1^1: 0->e]}"
+    rng = random.Random(22)
+    for _ in range(200):
+        p = random_point(rng)
+        assert evaluate(normal, p) == evaluate(f, p)
