@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache
-from typing import Optional
+from typing import Optional, Union
 
 from .eppm import (
     Eppm,
@@ -33,7 +33,6 @@ from .eppm import (
     canonicalize,
     compose,
     invert,
-    is_total,
     make_eppm,
     slabs,
 )
@@ -96,28 +95,11 @@ def parse_signed_word(text: str) -> SignedWord:
 
 
 def _total_form(f: Eppm, error: EppmError) -> Eppm:
-    """The normal form of f.  Raises `error` unless f is total, and, when
-    `error` is a NotBijective, unless its inverse is a total map too.
-
-    The form is marked `total`, and then `bijective`, only once that check
-    has passed, and a check whose mark is set is skipped: the marks are
-    facts about the map, so a form checked at parse time is not checked
-    again by the query that reads it."""
+    """The normal form of f, which caches its answers.  Raises `error`
+    unless f is total, or, when `error` is a NotBijective, a bijection."""
     f = canonicalize(f)
-    if not f.total:
-        if not is_total(f):
-            raise error
-        object.__setattr__(f, "total", True)
-    if isinstance(error, NotBijective) and not f.bijective:
-        try:
-            onto = is_total(invert(f))
-        except EppmError as exc:
-            # canonicalize refuses invert(f) only where it is not a map,
-            # so f is not injective
-            raise error from exc
-        if not onto:
-            raise error
-        object.__setattr__(f, "bijective", True)
+    if not (f.bijective if isinstance(error, NotBijective) else f.total):
+        raise error
     return f
 
 
@@ -241,8 +223,12 @@ def is_power_of_a1(f: Eppm) -> Optional[int]:
 # order and cyclic order
 
 
-def _cone_before(a: str, b: str) -> bool:
-    """Whether the cone below a lies entirely before the cone below b."""
+def _before(a: Union[str, EvPeriodic], b: Union[str, EvPeriodic]) -> bool:
+    """Whether a lies entirely before b: two cones' words, or one and a point."""
+    if isinstance(a, EvPeriodic):
+        a = a.prefix(len(b))
+    elif isinstance(b, EvPeriodic):
+        b = b.prefix(len(a))
     return not a.startswith(b) and not b.startswith(a) and a < b
 
 
@@ -254,24 +240,26 @@ def _order_class(f: Eppm) -> str:
     different rates or head for different points, so they cross infinitely
     often; so does a family whose ranges, blocks sorted by dom, are out of
     order within a layer or from one layer to the next.  Otherwise each
-    atom, in domain order, has a least range cone and a covering cone: a
-    piece's range for both, a family's least block's range and its range
-    base, which holds every layer and the limit.  A descent is a covering
-    cone not wholly before the next atom's least range, wrapping round."""
-    atoms = [(p.dom, p.ran, p.ran) for p in f.pieces]
-    points = set()
+    atom, in domain order, has a least range and a cover: a piece's range
+    for both, a family's least block's range and its range base, which
+    holds every layer and the limit.  An isolated limit p -> q comes right
+    after the family at p, as p is the largest point of that family's cone,
+    and q is both.  A descent is a cover not wholly before the next atom's
+    least range, wrapping round."""
+    atoms = [((p.dom, 0), p.ran, p.ran) for p in f.pieces]
+    first: dict[EvPeriodic, str] = {}  # the least dom of the family at a point
     for fam in f.families:
-        point = fam.dom_base.rstrip("1")
         blocks = sorted(fam.blocks)
         rans = [r for _, r in blocks] + ["1" * fam.ran_step + blocks[0][1]]
-        if point in points or not all(map(_cone_before, rans, rans[1:])):
+        if fam.limit_dom in first or not all(map(_before, rans, rans[1:])):
             return "V"
-        points.add(point)
         d, r = blocks[0]
-        atoms.append((fam.dom_base + d, fam.ran_base + r, fam.ran_base))
-    atoms.sort()
+        first[fam.limit_dom] = fam.dom_base + d
+        atoms.append(((first[fam.limit_dom], 0), fam.ran_base + r, fam.ran_base))
+    atoms += [((first[p], 1), q, q) for p, q in f.limits]
+    atoms.sort()  # by domain: the keys differ
     descents = [
-        not _cone_before(cover, least)
+        not _before(cover, least)
         for (_, _, cover), (_, least, _) in zip(atoms, atoms[1:] + atoms[:1])
     ]
     if not any(descents[:-1]):
@@ -322,11 +310,11 @@ class Support:
     layer.  moved_cones lists the other pieces' domains and, once each, the
     bases of the families: no family base is fixed, since the normal form
     writes the identity on a whole cone as one piece.  fixed_points holds
-    the fixed points of pieces, of family limits and of a family's pieces
-    at a single layer; a family block that fixes a point at every layer is
-    a fixed ladder, and one that is the identity at every layer is a fixed
-    cone ladder (base, step, suffix): the cones base.1^{m step}.suffix for
-    every m >= 0."""
+    the fixed points of pieces, of family limits, of isolated limits and of
+    a family's pieces at a single layer; a family block that fixes a point
+    at every layer is a fixed ladder, and one that is the identity at every
+    layer is a fixed cone ladder (base, step, suffix): the cones
+    base.1^{m step}.suffix for every m >= 0."""
 
     fixed_cones: tuple[str, ...]
     fixed_points: tuple[EvPeriodic, ...]
@@ -372,6 +360,7 @@ def support(f: Eppm) -> Support:
     ladders: list[FixedLadder] = []
     cone_ladders: list[tuple[str, int, str]] = []
     moved: list[str] = []
+    fixed_points += [p for p, q in f.limits if p == q]
 
     def fix(piece: Piece) -> None:
         ext = _extension(piece)

@@ -32,6 +32,7 @@ gives the output families (see _compose_through_family).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Optional, Union
 
@@ -112,11 +113,20 @@ class Eppm:
     limits: tuple[LimitPair, ...] = ()
     # set on canonicalize's results, so that a normal form is not rebuilt
     normal: bool = field(default=False, init=False, repr=False, compare=False)
-    # set by dynamics._total_form on a normal form once it has passed
-    # is_total, and once its inverse has too, so that a checked form is
-    # not checked again
-    total: bool = field(default=False, init=False, repr=False, compare=False)
-    bijective: bool = field(default=False, init=False, repr=False, compare=False)
+
+    # answers computed at most once per object, and not fields
+    @cached_property
+    def total(self) -> bool:
+        return is_total(self)
+
+    @cached_property
+    def bijective(self) -> bool:
+        if not self.total:
+            return False
+        try:
+            return is_total(invert(self))
+        except EppmError:  # canonicalize refuses the inverse: not injective
+            return False
 
     @property
     def atoms(self) -> tuple[Atom, ...]:

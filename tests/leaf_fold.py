@@ -7,8 +7,8 @@ these folds, on trees deeper than the memo too."""
 
 from __future__ import annotations
 
-from fskit.dynamics import _total_form, caret_map
-from fskit.eppm import IDENTITY, Eppm, NotBijective, compose, invert, make_eppm
+from fskit.dynamics import caret_map
+from fskit.eppm import IDENTITY, Eppm, NotBijective, canonicalize, compose, invert, make_eppm
 from fskit.forest import Tree, leaf_count, leaf_path
 from fskit.presentation import TwoColourRightVine
 
@@ -32,7 +32,7 @@ def fold_fraction(
         pieces.extend(branch.pieces)
         fams.extend(branch.families)
         limits.extend(branch.limits)
-    return _total_form(
-        make_eppm(pieces, fams, limits),
-        NotBijective("fraction did not evaluate to a total bijection"),
-    )
+    f = canonicalize(make_eppm(pieces, fams, limits))
+    if not f.bijective:
+        raise NotBijective("fraction did not evaluate to a total bijection")
+    return f

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fskit import dynamics
+from fskit import eppm
 from fskit.cli import build_parser, main
 from fskit.dynamics import parse_element
 from fskit.eppm import is_total
@@ -211,9 +211,9 @@ def test_compare(fsp, capsys):
 
 def test_each_parsed_form_is_checked_once(fsp, capsys, monkeypatch):
     # parsing checks a fraction's form, is_total on it and on its inverse,
-    # and the query reads the answer the form carries
+    # and the query reads the answer the form has cached
     calls = []
-    monkeypatch.setattr(dynamics, "is_total", lambda m: calls.append(m) or is_total(m))
+    monkeypatch.setattr(eppm, "is_total", lambda m: calls.append(m) or is_total(m))
     path = fsp(J3_TEXT)
     for argv, expected, count in [
         (["classify-element", path, "-e", "[a1 a1 | 2 1 3 | a1 a1]"], "V", 2),

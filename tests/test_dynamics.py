@@ -4,7 +4,7 @@ from functools import cmp_to_key
 
 import pytest
 
-from fskit import dynamics, plrender
+from fskit import dynamics, eppm, plrender
 from fskit.dynamics import (
     FixedLadder,
     Support,
@@ -368,14 +368,14 @@ def test_family_with_unsorted_ranges_is_v_type():
 
 
 def test_each_query_checks_totality_once(j3, monkeypatch):
-    # parse_element checks each fraction's form, and the form carries that
+    # parse_element checks each fraction's form, and the form caches that
     # answer, so no query on it runs is_total again; a form built by
     # compose is unchecked: one bijection gate, is_total on f and on its
     # inverse, per input
     v = parse_element(j3, "[a1 a1 | 2 1 3 | a1 a1]")
     f, g = parse_element(j3, "[b1 | id | a1]"), parse_element(j3, "[a1 | id | a1]")
     calls = []
-    monkeypatch.setattr(dynamics, "is_total", lambda m: calls.append(m) or is_total(m))
+    monkeypatch.setattr(eppm, "is_total", lambda m: calls.append(m) or is_total(m))
     assert classify_element(v) == "V"
     assert bi_order_compare(f, g) == "less"
     assert is_order_preserving(f) and is_cyclic_order_preserving(g)
@@ -386,11 +386,15 @@ def test_each_query_checks_totality_once(j3, monkeypatch):
     calls.clear()
     assert bi_order_compare(f, g) == "less"
     assert len(calls) == 4
+    # a second read of either answer computes nothing
+    calls.clear()
+    assert f.total and f.bijective and v.total and v.bijective
+    assert len(calls) == 0
 
 
 def test_a_failed_gate_fails_again(j3):
-    # a form is marked only once its check has passed: a map that fails a
-    # gate fails it on every call, with the same error and message
+    # a map that fails a gate caches the failed answer, and fails the gate
+    # on every call, with the same error and message
     a1_inv = evaluate_word(j3, (("A1", -1),))
     gates = [
         (is_order_preserving, NotTotal, "order test requires a total map"),
@@ -415,11 +419,10 @@ def test_a_failed_gate_fails_again(j3):
     assert not a0.bijective
 
 
-def test_marks_leave_equality_hash_and_text_alone(j3):
+def test_cached_answers_leave_equality_hash_and_text_alone(j3):
     checked = parse_element(j3, "[a1 | 2 1 | a1]")
     unchecked = compose(checked, IDENTITY)
     assert checked.total and checked.bijective
-    assert not unchecked.total and not unchecked.bijective
     assert checked == unchecked and hash(checked) == hash(unchecked)
     assert str(checked) == str(unchecked) and repr(checked) == repr(unchecked)
 
@@ -443,6 +446,13 @@ def test_f_type_fractions_all_order_preserving(j3, nonsimple4, cleary2, rho2):
 
 # ---------------------------------------------------------------------------
 # support
+
+
+# the layers 1^m.0.z -> 0.1^m.0.z, and an isolated limit that fixes (1)
+LIMIT_FIXES_OMEGA = make_eppm(
+    families=[Family("", "0", 1, 1, (("0", "0"),), False)],
+    limits=[(parse_point("(1)"), parse_point("(1)"))],
+)
 
 
 def test_support_identity():
@@ -495,6 +505,15 @@ def test_support_lists_a_family_base_as_moved_only():
     assert s.moved_cones == ("",)
     assert s.fixed_points == (parse_point("(1)"),)
     assert evaluate(f, parse_point("11100(01)")) == parse_point("11100(01)")
+
+
+def test_support_lists_a_fixed_isolated_limit():
+    # the layers 1^m.0.z -> 0.1^m.0.z fix (0) alone; the isolated limit
+    # fixes (1)
+    s = support(LIMIT_FIXES_OMEGA)
+    assert s.fixed_points == (parse_point("(0)"), parse_point("(1)"))
+    for p in s.fixed_points:
+        assert evaluate(LIMIT_FIXES_OMEGA, p) == p
 
 
 def test_support_lists_fixed_points_on_a_single_layer(j3):
@@ -1050,6 +1069,28 @@ def test_order_counterexamples_have_witnesses():
     assert is_total(d)
     assert images(d, "001(0)", "01(0)", "100(0)") == ["001(0)", "1(0)", "01(0)"]
     assert not is_order_preserving(d) and not is_cyclic_order_preserving(d)
+    # two families that keep order, and isolated limits that swap 0(1) and
+    # (1): read without its limits, this bijection keeps order
+    g = make_eppm(
+        families=[
+            Family("0", "0", 1, 1, (("0", "0"),), False),
+            Family("1", "1", 1, 1, (("0", "0"),), False),
+        ],
+        limits=[
+            (parse_point("0(1)"), parse_point("(1)")),
+            (parse_point("(1)"), parse_point("0(1)")),
+        ],
+    )
+    assert images(g, "0(1)", "1(0)") == ["(1)", "1(0)"]
+    assert classify_element(g) == "V"
+    assert not is_order_preserving(g) and not is_cyclic_order_preserving(g)
+    with pytest.raises(NotOrderPreserving):
+        bi_order_compare(g, IDENTITY)
+    # an isolated limit that keeps order: the layers stay below the image
+    # (1) of their limit
+    f = LIMIT_FIXES_OMEGA
+    assert images(f, "0(1)", "10(0)", "(1)") == ["00(1)", "01(0)", "(1)"]
+    assert is_order_preserving(f) and is_cyclic_order_preserving(f)
 
 
 def test_germ_group_commutativity_dichotomy(j3):

@@ -29,11 +29,20 @@ from fskit.sequences import parse_point
 from amalgam_word import word_class
 from germ_rebase import germs_equal_by_rebase
 
+# right vines named by their a-words, beside the shared presentations
+A122_TEXT = "colors a b\nrel a1 a2 a2 = b1 b2 b3\n"
+A1131_TEXT = "colors a b\nrel a1 a1 a3 a1 = b1 b2 b3 b4\n"
+A111_TEXT = "colors a b\nrel a1 a1 a1 = b1 b2 b3\n"
+A1111_TEXT = "colors a b\nrel a1 a1 a1 a1 = b1 b2 b3 b4\n"
 CLASSES = {
     "j3": vine_class(J3_TEXT),
     "nonsimple4": vine_class(NONSIMPLE4_TEXT),
     "cleary2": vine_class(CLEARY2_TEXT),
     "rho2": vine_class(RHO2_TEXT),
+    "a122": vine_class(A122_TEXT),
+    "a1131": vine_class(A1131_TEXT),
+    "a111": vine_class(A111_TEXT),
+    "a1111": vine_class(A1111_TEXT),
 }
 POINTS = [parse_point(t) for t in ("(1)", "0(1)", "10(1)", "00(1)", "010(1)")]
 
@@ -89,6 +98,10 @@ OMEGA_GERMS = {
     "nonsimple4": (NONSIMPLE4_TEXT, 3, 4, False),
     "cleary2": (CLEARY2_TEXT, 1, 2, True),
     "rho2": (RHO2_TEXT, 2, 2, True),
+    "a122": (A122_TEXT, 2, 3, False),
+    "a1131": (A1131_TEXT, 2, 4, False),
+    "a111": (A111_TEXT, 1, 3, True),
+    "a1111": (A1111_TEXT, 1, 4, True),
 }
 
 
@@ -112,7 +125,7 @@ def germ_at_omega(cls, word):
     return germ_at(evaluate_word(cls, signed), parse_point("(1)"))
 
 
-@pytest.mark.parametrize("name", ["j3", "cleary2"])
+@pytest.mark.parametrize("name", ["j3", "cleary2", "a122", "a1131", "a111", "a1111"])
 def test_germ_equality_at_omega_is_the_printed_word_problem(name):
     # there the germ group at omega is < a, b | a^p = b^q > itself
     _, p, q, _ = OMEGA_GERMS[name]
