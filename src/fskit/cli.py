@@ -6,13 +6,14 @@ either signed generator words (`A1 B1^-1`) or fractions
 (`[ b1 | id | a1 ]`).
 
 Exit codes: 0 success; 1 usage or parse error, `error:` on stderr (a bad
-option or point, a missing file, a fraction literal or generator token
-that does not parse, check-simple --max-len < 1, plot --depth < 0 and svg
-plot --width or --height < 1); 2 invalid input, `invalid:` on stderr (a
-presentation that does not parse or validate, a malformed caret token or
-leaf index in a fraction or a `rel` line, classify-element or compare on a
-map that is not a bijection), and eval at a point outside the map's domain,
-which prints `undefined at <p>`; 10 check-simple found a collapse.
+option or point, a missing file, a directory or other path that cannot be
+read or written, a fraction literal or generator token that does not
+parse, check-simple --max-len < 1, plot --depth < 0 and svg plot --width
+or --height < 1); 2 invalid input, `invalid:` on stderr (a presentation
+that does not parse or validate, a malformed caret token or leaf index in
+a fraction or a `rel` line, classify-element or compare on a map that is
+not a bijection), and eval at a point outside the map's domain, which
+prints `undefined at <p>`; 10 check-simple found a collapse.
 """
 
 from __future__ import annotations
@@ -240,14 +241,10 @@ def main(argv=None) -> int:
         with open(args.presentation, "r", encoding="utf-8") as fh:
             p = parse_presentation(fh.read(), name=args.presentation)
         return args.fn(p, args)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         # a PointSyntaxError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (PresentationError, ForestError, EppmError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_INVALID
-
-
-if __name__ == "__main__":
-    sys.exit(main())

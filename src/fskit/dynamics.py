@@ -36,7 +36,14 @@ from .eppm import (
     make_eppm,
     slabs,
 )
-from .forest import Tree, identity_perm, is_permutation, leaf_count
+from .forest import (
+    Tree,
+    build_tree,
+    identity_perm,
+    is_permutation,
+    leaf_count,
+    parse_caret_word,
+)
 from .presentation import TwoColourRightVine, UnsupportedClass
 from .sequences import EvPeriodic, ev_periodic
 
@@ -177,8 +184,6 @@ _FRACTION_RE = re.compile(r"^\[([^|\]]*)\|([^|\]]*)\|([^|\]]*)\]$")
 
 
 def parse_fraction(text: str) -> tuple[Tree, tuple[int, ...], Tree]:
-    from .forest import build_tree, parse_caret_word
-
     m = _FRACTION_RE.match(text.strip())
     if not m:
         raise ValueError(f"bad fraction literal {text!r}")
@@ -249,7 +254,7 @@ def _order_class(f: Eppm) -> str:
     atoms = [((p.dom, 0), p.ran, p.ran) for p in f.pieces]
     first: dict[EvPeriodic, str] = {}  # the least dom of the family at a point
     for fam in f.families:
-        blocks = sorted(fam.blocks)
+        blocks = fam.blocks  # canonicalize writes them sorted by dom
         rans = [r for _, r in blocks] + ["1" * fam.ran_step + blocks[0][1]]
         if fam.limit_dom in first or not all(map(_before, rans, rans[1:])):
             return "V"
@@ -455,7 +460,7 @@ def germ_at(f: Eppm, p: EvPeriodic) -> Germ:
         return Germ(p, q, 1, ((0, "", q.pre, 1, "0", shift),))
     if not isinstance(atom, Family):
         raise ValueError(f"f has no germ at {p}: it sends {p} to an isolated limit")
-    fams = [fam for fam in f.families if fam.dom_base.rstrip("1") == p.pre]
+    fams = [fam for fam in f.families if fam.limit_dom == p]
     period = atom.dom_step  # the families at one point share one dom step
     tail = [
         (n % period, u, z, step, rest, a * period - step * n)

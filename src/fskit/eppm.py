@@ -125,7 +125,7 @@ class Eppm:
             return False
         try:
             return is_total(invert(self))
-        except EppmError:  # canonicalize refuses the inverse: not injective
+        except EppmError:  # invert or canonicalize refuses: not injective
             return False
 
     @property
@@ -265,6 +265,12 @@ def in_domain(f: Eppm, p: EvPeriodic) -> bool:
 
 
 def invert(f: Eppm) -> Eppm:
+    """The inverse of f.  Raises NotBijective where two piece ranges meet,
+    which in sorted order is where one range prefixes its successor."""
+    rans = sorted(p.ran for p in f.pieces)
+    for r, s in zip(rans, rans[1:]):
+        if s.startswith(r):
+            raise NotBijective(f"the ranges {r or 'e'} and {s or 'e'} of two pieces meet")
     pieces = tuple(Piece(p.ran, p.dom) for p in f.pieces)
     fams = tuple(
         Family(
@@ -358,8 +364,9 @@ def _compose_through_family(
       cones of all later layers, so f would not be a function or g_fam
       not injective.
 
-    So only one piece covering the roof, or else only the families at x,
-    act below it."""
+    So below the roof act the families at x, each of which reaches it, or
+    else only the one piece of the restriction to rb whose dom prefixes
+    the roof."""
     db, rb = g_fam.dom_base, g_fam.ran_base
     c, cp = g_fam.dom_step, g_fam.ran_step
     f = restrict(f, rb)
@@ -369,11 +376,13 @@ def _compose_through_family(
         return min(len(w), len(rb) + _lead_ones(w[len(rb) :]) + 1)
 
     depth = max((off_roof(p.dom) for p in f.pieces), default=0)
+    at_x = []
     for fam in f.families:
         y = fam.dom_base.rstrip("1")
         if y != x:
             depth = max(depth, off_roof(y))
         else:
+            at_x.append(fam)
             lead = max((_lead_ones(d) for d, _ in fam.blocks), default=0)
             depth = max(depth, len(fam.dom_base) + lead)
     m0 = max(0, -(-(depth - len(rb)) // cp))
@@ -383,24 +392,12 @@ def _compose_through_family(
             _compose_through_piece(f, g_fam.piece_at(m, block), pieces, fams)
 
     roof = rb + _ones(m0 * cp)
-    sub = restrict(f, roof)
-    if not sub.families:
-        if sub.pieces:  # the one piece that covers the roof
-            fams.append(
-                Family(
-                    db + _ones(m0 * c),
-                    sub.pieces[0].ran,
-                    c,
-                    cp,
-                    g_fam.blocks,
-                    carries_limit=False,
-                )
-            )
-        return
-
-    for fam in f.families:
-        if fam.dom_base.rstrip("1") == x:
-            _compose_family_tail(fam, g_fam, m0, fams)
+    for fam in at_x:
+        _compose_family_tail(fam, g_fam, m0, fams)
+    cover = next((p for p in f.pieces if roof.startswith(p.dom)), None)
+    if not at_x and cover is not None:  # the one piece that covers the roof
+        ran = cover.ran + roof[len(cover.dom) :]
+        fams.append(Family(db + _ones(m0 * c), ran, c, cp, g_fam.blocks, carries_limit=False))
 
 
 def _compose_family_tail(
@@ -532,8 +529,8 @@ def _point_form(
     the cone, `walls` the family cones of deeper points in it, and `image`
     the image of x.1^inf, if any."""
     period = lcm(*(fam.dom_step for fam in fams))
-    # (family, first slab of the block, dom in the slab, ran)
-    items = [(fam, *_slab_of(x, fam.dom_base + d), r) for fam in fams for d, r in fam.blocks]
+    # (dom step, first slab of the block, dom in the slab, ran run)
+    items = [(fam.dom_step, n, u, run) for fam in fams for _, n, u, run in slabs(fam)]
     placed = [(*_slab_of(x, w), v) for w, v in inside.items()]
     walled = {_slab_of(x, w)[0] for w in walls}
     # from slab `start` on, only the families act, periodically
@@ -545,13 +542,11 @@ def _point_form(
     for n, u, v in placed:
         explicit[n][u] = v
     pattern: list[dict[str, Run]] = [{} for _ in range(period)]
-    for fam, first, u, r in items:
-        c, cp = fam.dom_step, fam.ran_step
+    for c, first, u, (z, a, q, rest) in items:
         for m, n in enumerate(range(first, start, c)):
-            explicit[n][u] = fam.ran_base + _ones(m * cp) + r
-        z, a, q, rest = _run(fam.ran_base, r, cp * period // c)
+            explicit[n][u] = z + _ones(a + m * q) + rest
         for n in range(start + (first - start) % c, start + period, c):
-            pattern[n - start][u] = (z, a + (n - first) // c * cp, q, rest)
+            pattern[n - start][u] = (z, a + (n - first) // c * q, q * period // c, rest)
     explicit = [_reduce(slab, _ran_parent) for slab in explicit]
     pattern = [_reduce(slab, _run_parent) for slab in pattern]
 

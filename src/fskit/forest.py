@@ -60,14 +60,8 @@ def caret_count(t: Tree) -> int:
     return leaf_count(t) - 1
 
 
-def colours_of(t: Tree) -> set[str]:
-    if t.is_leaf:
-        return set()
-    return {t.colour} | colours_of(t.left) | colours_of(t.right)
-
-
 def is_monochromatic(t: Tree, colour: str) -> bool:
-    return colours_of(t) <= {colour}
+    return colour_count(t).keys() <= {colour}
 
 
 # ---------------------------------------------------------------------------

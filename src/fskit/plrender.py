@@ -86,7 +86,7 @@ def _cone_piece(dom: str, ran: str) -> PlPiece:
     )
 
 
-def _expand(f: Eppm, depth: int) -> tuple[list[PlPiece], list[Dyadic]]:
+def _expand(f: Eppm, depth: int) -> PlMap:
     if depth < 0:
         raise ValueError(f"depth must be at least 0, got {depth}")
     cones = [(p.dom, p.ran) for p in f.pieces]
@@ -102,23 +102,21 @@ def _expand(f: Eppm, depth: int) -> tuple[list[PlPiece], list[Dyadic]]:
         accumulation.add(_cone_piece(fam.dom_base, "").right)
     # the doms are prefix-free, so their string order is left-end order
     cones.sort()
-    return [_cone_piece(dom, ran) for dom, ran in cones], sorted(accumulation)
+    return PlMap(tuple(_cone_piece(dom, ran) for dom, ran in cones), tuple(sorted(accumulation)))
 
 
 def to_interval_map(f: Eppm, depth: int = 12) -> PlMap:
     f = canonicalize(f)
     if not dynamics.is_order_preserving(f):
         raise NotOrderPreserving("interval rendering needs an order-preserving map")
-    pieces, accumulation = _expand(f, depth)
-    return PlMap(tuple(pieces), tuple(accumulation))
+    return _expand(f, depth)
 
 
 def to_circle_map(f: Eppm, depth: int = 12) -> PlMap:
     f = canonicalize(f)
     if not dynamics.is_cyclic_order_preserving(f):
         raise NotCyclicOrderPreserving("circle rendering needs a cyclic-order map")
-    pieces, accumulation = _expand(f, depth)
-    m = PlMap(tuple(pieces), tuple(accumulation))
+    m = _expand(f, depth)
     _validate_circle_continuity(m)
     return m
 

@@ -26,7 +26,6 @@ from .forest import (
     build_tree,
     caret_count,
     colour_count,
-    colours_of,
     is_monochromatic,
     leaf_addresses,
     leaf_count,
@@ -133,7 +132,7 @@ def validate(p: SkeinPresentation) -> None:
         raise PresentationError("empty colour list")
     declared = set(p.colours)
     for k, (u, v) in enumerate(p.relations, 1):
-        used = colours_of(u) | colours_of(v)
+        used = colour_count(u).keys() | colour_count(v).keys()
         if not used <= declared:
             raise UnknownColour(
                 f"relation {k} uses undeclared colour(s) {sorted(used - declared)}"

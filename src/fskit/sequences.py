@@ -83,11 +83,10 @@ def ev_periodic(pre: str, per: str) -> EvPeriodic:
     if not per or (pre + per).strip("01"):
         raise PointSyntaxError(f"bad sequence {pre!r}({per!r})")
     per = _primitive(per)
-    pre = str(pre)
     while pre and pre[-1] == per[-1]:
         pre = pre[:-1]
-        per = per[-1] + per[:-1]
-    return EvPeriodic(pre, _primitive(per))
+        per = per[-1] + per[:-1]  # a rotation of a primitive word is primitive
+    return EvPeriodic(pre, per)
 
 
 _POINT_RE = re.compile(r"^([01]*)\(([01]+)\)$")

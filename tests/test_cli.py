@@ -47,6 +47,16 @@ def test_missing_file(capsys):
     assert code == 1
 
 
+def test_a_directory_is_a_usage_error(fsp, capsys, tmp_path):
+    # a path that cannot be read or written is reported like a missing file
+    for argv in [
+        ("classify", str(tmp_path)),
+        ("plot", fsp(J3_TEXT), "-e", "[b1 | id | a1]", "-o", str(tmp_path)),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("error: ")
+
+
 def test_classify(fsp, capsys):
     code, out, _ = run(capsys, "classify", fsp(J3_TEXT))
     assert code == 0

@@ -607,10 +607,21 @@ def test_support_refuses_a_family_whose_ranges_nest():
         support(f)
 
 
-def test_a_map_that_is_not_injective_is_not_a_bijection():
-    # the map above: its inverse is not a map, so canonicalize refuses it,
-    # and the bijection gate reports that as NotBijective
-    f = make_eppm(families=[Family("", "", 2, 1, (("0", ""), ("10", "0")))])
+@pytest.mark.parametrize(
+    "f",
+    [
+        # the map above: canonicalize refuses its inverse, which is not a map
+        make_eppm(families=[Family("", "", 2, 1, (("0", ""), ("10", "0")))]),
+        # total and onto, but 00(1) and 10(1) both go to 0(1): the piece
+        # ranges e and 0 meet, so invert refuses it
+        make_eppm(pieces=[Piece("0", ""), Piece("10", "0"), Piece("11", "1")]),
+        make_eppm(pieces=[Piece("0", ""), Piece("1", "")]),
+    ],
+    ids=["nested-family-ranges", "nested-piece-ranges", "equal-piece-ranges"],
+)
+def test_a_map_that_is_not_injective_is_not_a_bijection(f):
+    # the bijection gate reports every refusal of the inverse as NotBijective
+    assert not f.bijective
     with pytest.raises(NotBijective, match="^F/T/V membership requires a bijection"):
         classify_element(f)
     for pair in ((f, IDENTITY), (IDENTITY, f)):

@@ -9,6 +9,7 @@ from fskit.eppm import (
     EppmError,
     Family,
     IDENTITY,
+    NotBijective,
     Piece,
     UndefinedAt,
     canonicalize,
@@ -87,6 +88,18 @@ def test_invert_b1_image(j3):
     assert evaluate(g, parse_point("01(0)")) == parse_point("(0)")
 
 
+@pytest.mark.parametrize(
+    "pieces, message",
+    [
+        ([Piece("0", ""), Piece("10", "0"), Piece("11", "1")], "e and 0"),
+        ([Piece("0", ""), Piece("1", "")], "e and e"),
+    ],
+)
+def test_invert_refuses_meeting_piece_ranges(pieces, message):
+    with pytest.raises(NotBijective, match=f"the ranges {message} of two pieces meet"):
+        invert(make_eppm(pieces=pieces))
+
+
 def test_invert_involution(j3):
     rng = random.Random(0)
     for _ in range(40):
@@ -99,6 +112,19 @@ def test_compose_identity(j3):
     f = b1(j3)
     assert equals(compose(f, IDENTITY), f)
     assert equals(compose(IDENTITY, f), f)
+
+
+def test_compose_restricts_once_per_family_of_g(j3, monkeypatch):
+    # B1 o B1: f is restricted to the family's range cone once, and then
+    # to each block of the one layer below the roof; the roof itself
+    # needs no restriction of its own
+    import fskit.eppm
+
+    cones = []
+    monkeypatch.setattr(fskit.eppm, "restrict", lambda f, w: cones.append(w) or restrict(f, w))
+    f = b1(j3)
+    compose(f, f)
+    assert cones == ["", "01", "10", "1100"]
 
 
 def test_compose_pointwise(j3, nonsimple4):
