@@ -104,7 +104,10 @@ def parse_signed_word(text: str) -> SignedWord:
 def _total_form(f: Eppm, error: EppmError) -> Eppm:
     """The normal form of f, which caches its answers.  Raises `error`
     unless f is total, or, when `error` is a NotBijective, a bijection."""
-    f = canonicalize(f)
+    try:
+        f = canonicalize(f)
+    except EppmError as refusal:  # two piece doms meet: f is no function
+        raise error from refusal
     if not (f.bijective if isinstance(error, NotBijective) else f.total):
         raise error
     return f

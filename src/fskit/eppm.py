@@ -117,7 +117,10 @@ class Eppm:
     # answers computed at most once per object, and not fields
     @cached_property
     def total(self) -> bool:
-        return is_total(self)
+        try:
+            return is_total(self)
+        except EppmError:  # canonicalize refuses: two piece doms meet
+            return False
 
     @cached_property
     def bijective(self) -> bool:
@@ -620,10 +623,19 @@ def canonicalize(f: Eppm) -> Eppm:
     everything sorted.  One pass over the accumulation points, deepest
     first, so that a nested point's family cone is a wall in its parent's
     slab.  The result is marked, so that canonicalizing it again costs
-    nothing."""
+    nothing.  Raises EppmError where the doms of two pieces meet, as f then
+    acts twice on one cone."""
     if f.normal:
         return f
     pieces = {p.dom: p.ran for p in f.pieces}
+    # two pieces meet where they share a dom but not a range, or where one
+    # dom prefixes its successor in sorted order
+    meets = [(p.dom, p.dom) for p in f.pieces if pieces[p.dom] != p.ran]
+    doms = sorted(pieces)
+    meets += [(u, w) for u, w in zip(doms, doms[1:]) if w.startswith(u)]
+    if meets:
+        u, w = meets[0]
+        raise EppmError(f"the doms {u or 'e'} and {w or 'e'} of two pieces meet")
     images = dict(f.limits)
     at_point: dict[str, list[Family]] = {}
     for fam in f.families:

@@ -1,21 +1,22 @@
 """The collapse probe as fskit ran it before a-prefixed words were decided
-by cancellation, kept as an independent reference for it.
+by cancellation and other words refuted at witness points, kept as an
+independent reference for it.
 
 Every good word, a-prefixed or not, gets its own map: its prefix's map
 extended by one letter, with the powers of a kept among the maps of each
-length.  Every map is decided by `is_power_of_a1`.  It never uses the
-cancellation of A1, so it checks that skipping the maps of a^i.w' changes
-no report.
+length.  Every map is decided by `is_power_of_a1`.  It uses neither the
+cancellation of A1 nor witness points, so it checks that skipping the
+maps of a^i.w' and of refuted words changes no report.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from fskit.dynamics import is_power_of_a1
-from fskit.eppm import Eppm, IDENTITY
+from fskit.dynamics import caret_map, is_power_of_a1
+from fskit.eppm import Eppm, IDENTITY, compose
 from fskit.presentation import TwoColourRightVine, enumerate_good_words
-from fskit.probe import ProbeReport, kappa_omega
+from fskit.probe import ProbeReport
 
 
 def every_word_images(cls: TwoColourRightVine, max_len: int):
@@ -29,8 +30,8 @@ def every_word_images(cls: TwoColourRightVine, max_len: int):
         if len(word) > length:
             length = len(word)
             prev = level
-            level = {a * length: kappa_omega(cls, a, prev[a * (length - 1)])}
-        image = kappa_omega(cls, word[-1], prev[word[:-1]])
+            level = {a * length: compose(prev[a * (length - 1)], caret_map(cls, a, 1))}
+        image = compose(prev[word[:-1]], caret_map(cls, word[-1], 1))
         level[word] = image
         yield word, image
 

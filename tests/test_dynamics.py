@@ -616,8 +616,11 @@ def test_support_refuses_a_family_whose_ranges_nest():
         # ranges e and 0 meet, so invert refuses it
         make_eppm(pieces=[Piece("0", ""), Piece("10", "0"), Piece("11", "1")]),
         make_eppm(pieces=[Piece("0", ""), Piece("1", "")]),
+        # 00(1) goes to both 0(1) and 1(1): canonicalize refuses the map
+        # itself, so it is not total
+        make_eppm(pieces=[Piece("0", "0"), Piece("00", "1"), Piece("1", "1")]),
     ],
-    ids=["nested-family-ranges", "nested-piece-ranges", "equal-piece-ranges"],
+    ids=["nested-family-ranges", "nested-piece-ranges", "equal-piece-ranges", "nested-piece-doms"],
 )
 def test_a_map_that_is_not_injective_is_not_a_bijection(f):
     # the bijection gate reports every refusal of the inverse as NotBijective

@@ -100,6 +100,26 @@ def test_invert_refuses_meeting_piece_ranges(pieces, message):
         invert(make_eppm(pieces=pieces))
 
 
+@pytest.mark.parametrize(
+    "pieces, message",
+    [
+        # 00 lies in the cone 0, and 00(1) would go to 1(1) or to 00(1)
+        ([Piece("0", "0"), Piece("00", "1"), Piece("1", "1")], "0 and 00"),
+        ([Piece("0", "0"), Piece("0", "1"), Piece("1", "")], "0 and 0"),
+        ([Piece("", ""), Piece("1", "1")], "e and 1"),
+    ],
+)
+def test_canonicalize_refuses_meeting_piece_doms(pieces, message):
+    with pytest.raises(EppmError, match=f"the doms {message} of two pieces meet"):
+        canonicalize(make_eppm(pieces=pieces))
+
+
+def test_canonicalize_merges_identical_pieces():
+    f = make_eppm(pieces=[Piece("0", "1"), Piece("1", "0"), Piece("0", "1")])
+    assert canonicalize(f) == canonicalize(make_eppm(pieces=[Piece("0", "1"), Piece("1", "0")]))
+    assert str(canonicalize(f)) == "{(0->1); (1->0)}"
+
+
 def test_invert_involution(j3):
     rng = random.Random(0)
     for _ in range(40):

@@ -4,10 +4,11 @@ from dataclasses import replace
 
 import pytest
 
+import fskit.probe
 from fskit.dynamics import caret_map, is_power_of_a1
-from fskit.eppm import IDENTITY, Piece, compose, equals, make_eppm
+from fskit.eppm import IDENTITY, Piece, compose, equals, evaluate, make_eppm
 from fskit.presentation import enumerate_good_words, good_b_words
-from fskit.probe import kappa_omega, probe
+from fskit.probe import WITNESS_POINTS, Witnesses, kappa_omega, probe
 
 from certificate import WrongShape, certificate_check
 from good_word_reference import good_word_check
@@ -18,7 +19,7 @@ from conftest import (
     RHO2_TEXT,
     vine_class,
 )
-from probe_reference import every_word_probe
+from probe_reference import every_word_images, every_word_probe
 
 
 def test_kappa_single_letters(j3):
@@ -93,7 +94,8 @@ def test_prefix_shared_images_match_fold(name, max_len, request):
         for word in words:
             assert word[:-1] in previous, word
             prefix = kappa_omega(cls, word[:-1]) if len(word) > 1 else IDENTITY
-            assert kappa_omega(cls, word[-1], prefix) == kappa_omega(cls, word), word
+            extended = compose(prefix, caret_map(cls, word[-1], 1))
+            assert extended == kappa_omega(cls, word), word
         previous = set(words)
 
 
@@ -141,6 +143,50 @@ def test_probe_matches_every_word_reference(text, max_len, outcome):
     assert report.outcome == outcome
     reference = every_word_probe(cls, max_len)
     assert replace(report, seconds=0.0) == reference
+
+
+@pytest.mark.parametrize("name", ["j3", "nonsimple4", "rho2"])
+def test_witness_points_refute_no_collapse(name, request):
+    # the rules the probe's filter relies on, on every good word up to
+    # length 9, against the maps of the every-word reference: the suffix
+    # memo gives each point's exact image, a refuted word is no power of
+    # A1, and a collapse is never refuted
+    cls = request.getfixturevalue(name)
+    witnesses = Witnesses(cls)
+    refuted = collapses = 0
+    for word, image in every_word_images(cls, 9):
+        for i, p in enumerate(WITNESS_POINTS):
+            assert witnesses.image(i, word) == evaluate(image, p), (word, str(p))
+        j = is_power_of_a1(image)
+        if witnesses.refute(word):
+            refuted += 1
+            assert j is None, word
+        if j is not None:
+            collapses += 1
+            assert not witnesses.refute(word), word
+    # j3 has no collapse; on rho2 B1 = A1, so every word collapses
+    assert (refuted > 0) == (name != "rho2")
+    assert (collapses > 0) == (name != "j3")
+
+
+@pytest.mark.parametrize(
+    "name, max_len, words", [("nonsimple4", 10, ["bbababb", "babababab"]), ("j3", 12, [])]
+)
+def test_probe_builds_maps_only_for_unrefuted_words(name, max_len, words, request, monkeypatch):
+    # every other b-word is refuted at a witness point, so only these get
+    # the exact check; the last one is nonsimple4's collapse
+    checked = []
+
+    def counting(f):
+        checked.append(f)
+        return is_power_of_a1(f)
+
+    monkeypatch.setattr(fskit.probe, "is_power_of_a1", counting)
+    cls = request.getfixturevalue(name)
+    report = probe(cls, max_len)
+    assert len(checked) == len(words)
+    assert checked == [kappa_omega(cls, w) for w in words]
+    assert report.collapse_word == (words[-1] if words else None)
 
 
 def test_deep_probe_stops_at_the_collapse(nonsimple4):
