@@ -127,7 +127,7 @@ class Eppm:
         if not self.total:
             return False
         try:
-            return is_total(invert(self))
+            return is_total(invert(canonicalize(self)))
         except EppmError:  # invert or canonicalize refuses: not injective
             return False
 
@@ -194,22 +194,26 @@ def restrict_family(f: Family, w: str) -> tuple[list[Piece], list[Family]]:
             f, dom_base=db + _ones(m0 * c), ran_base=f.ran_base + _ones(m0 * cp)
         )
         return pieces, [rest]
-    # the cone is db.1^ones.0...: a block d with l < len(d) leading 1s starts
-    # 1^(mc + l).0 at layer m, so only layer (ones - l)/c can meet it; a block
-    # of 1s alone would hold every later layer and the family's limit
-    hits: list[tuple[int, int, Piece]] = []
-    for i, block in enumerate(f.blocks):
+    return [r for p in _layer_pieces(f, ones) if (r := restrict_piece(p, w)) is not None], []
+
+
+def _layer_pieces(f: Family, ones: int) -> list[Piece]:
+    """The pieces of f that can meet a cone db.1^ones.0..., in (layer,
+    block) order.  A block d with l < len(d) leading 1s starts 1^(mc + l).0
+    at layer m, so only layer (ones - l)/c can meet the cone; a block of 1s
+    alone would hold every later layer and the family's limit."""
+    db, c = f.dom_base, f.dom_step
+    hits: list[tuple[int, tuple[str, str]]] = []
+    for block in f.blocks:
         d = block[0]
         lead = _lead_ones(d)
         if lead == len(d):
             raise EppmError(f"cone {db + d or 'e'} holds the accumulation point of its family")
         if lead <= ones and (ones - lead) % c == 0:
-            m = (ones - lead) // c
-            r = restrict_piece(f.piece_at(m, block), w)
-            if r is not None:
-                hits.append((m, i, r))
-    hits.sort(key=lambda hit: hit[:2])
-    return [r for _, _, r in hits], []
+            hits.append(((ones - lead) // c, block))
+    if len(hits) > 1:  # a stable sort: blocks stay in order within a layer
+        hits.sort(key=lambda hit: hit[0])
+    return [f.piece_at(m, block) for m, block in hits]
 
 
 def restrict(f: Eppm, w: str) -> Eppm:
@@ -242,9 +246,8 @@ def atom_at(f: Eppm, p: EvPeriodic) -> Union[Atom, LimitPair, None]:
             if fam.carries_limit:
                 return fam
             continue
-        # p lies in the cone db.1^run.0, whose pieces restrict_family finds
-        cone = fam.dom_base + _ones(rest.leading_run("1")) + "0"
-        for piece in restrict_family(fam, cone)[0]:
+        # p lies in the cone db.1^run.0, which only these pieces can meet
+        for piece in _layer_pieces(fam, rest.leading_run("1")):
             if p.starts_with(piece.dom):
                 return piece
     return next((pair for pair in f.limits if p == pair[0]), None)

@@ -49,9 +49,12 @@ class Witnesses:
     image cannot be carried on from a word's prefix, but it can from its
     suffix: the image under c.w' is the caret's image of that under w'.
     So each point keeps a memo of images keyed by suffix, which starts at
-    "" -> the point.  A step is `evaluate` of the caret, a prepend for A1.
-    Few distinct points recur, so each caret's images are memoised by
-    point too."""
+    "" -> the point.  image reads it from the longest stored suffix down
+    and stores each longer suffix on the way back.  Words come in length
+    order, so that suffix is usually one or two letters short of the word,
+    and an image costs one or two steps.  A step is `evaluate` of the
+    caret, a prepend for A1.  One point can recur under different
+    suffixes, so each caret's images are memoised by point too."""
 
     def __init__(self, cls: TwoColourRightVine):
         self.memos: list[dict[str, EvPeriodic]] = [{"": p} for p in WITNESS_POINTS]
@@ -61,9 +64,9 @@ class Witnesses:
     def image(self, i: int, word: str) -> EvPeriodic:
         """kappa_omega(cls, word) at WITNESS_POINTS[i]."""
         memo = self.memos[i]
-        k = len(word)
+        k = 0
         while word[k:] not in memo:  # "" is there
-            k -= 1
+            k += 1
         image = memo[word[k:]]
         for k in reversed(range(k)):
             steps = self.steps[word[k]]

@@ -33,11 +33,6 @@ class EvPeriodic:
     def __str__(self) -> str:
         return f"{self.pre}({self.per})"
 
-    def letter(self, i: int) -> str:
-        if i < len(self.pre):
-            return self.pre[i]
-        return self.per[(i - len(self.pre)) % len(self.per)]
-
     def prefix(self, n: int) -> str:
         laps = max(0, -(-(n - len(self.pre)) // len(self.per)))  # ceil
         return (self.pre + self.per * laps)[:n]
@@ -46,13 +41,17 @@ class EvPeriodic:
         return self.prefix(len(w)) == w
 
     def drop(self, n: int) -> "EvPeriodic":
-        """The sequence with its first n letters removed."""
+        """The sequence with its first n letters removed.  It needs no
+        normalising: a suffix of a minimal preperiod is minimal, and a
+        rotation of a primitive period is primitive."""
         if n <= len(self.pre):
-            return ev_periodic(self.pre[n:], self.per)
+            return EvPeriodic(self.pre[n:], self.per)
         k = (n - len(self.pre)) % len(self.per)
-        return ev_periodic("", self.per[k:] + self.per[:k])
+        return EvPeriodic("", self.per[k:] + self.per[:k])
 
     def prepend(self, w: str) -> "EvPeriodic":
+        if self.pre and not w.strip("01"):  # pre's last letter keeps it normal
+            return EvPeriodic(w + self.pre, self.per)
         return ev_periodic(w + self.pre, self.per)
 
     def is_constant(self, ch: str) -> bool:
@@ -63,10 +62,10 @@ class EvPeriodic:
         sequence not to be constant ch."""
         if self.is_constant(ch):
             raise ValueError("constant sequence has no finite leading run")
-        i = 0
-        while self.letter(i) == ch:
-            i += 1
-        return i
+        run = len(self.pre) - len(self.pre.lstrip(ch))
+        if run < len(self.pre):
+            return run
+        return run + len(self.per) - len(self.per.lstrip(ch))  # per is not ch alone
 
     def has_tail(self, ch: str) -> bool:
         return self.per == ch

@@ -1,9 +1,16 @@
 """Relations between eventually periodic points that tests check images
-against: sharing a tail, and the lexicographic order."""
+against: their letters, sharing a tail, and the lexicographic order."""
 
 from __future__ import annotations
 
 from fskit.sequences import EvPeriodic
+
+
+def letter(p: EvPeriodic, i: int) -> str:
+    """The letter of p at index i."""
+    if i < len(p.pre):
+        return p.pre[i]
+    return p.per[(i - len(p.pre)) % len(p.per)]
 
 
 def tail_equivalent(p: EvPeriodic, q: EvPeriodic) -> bool:
@@ -23,7 +30,7 @@ def compare(p: EvPeriodic, q: EvPeriodic) -> int:
         return 0
     bound = len(p.pre) + len(q.pre) + len(p.per) * len(q.per) + 1
     for i in range(bound):
-        a, b = p.letter(i), q.letter(i)
+        a, b = letter(p, i), letter(q, i)
         if a != b:
             return -1 if a < b else 1
     return 0

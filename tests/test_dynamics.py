@@ -619,8 +619,18 @@ def test_support_refuses_a_family_whose_ranges_nest():
         # 00(1) goes to both 0(1) and 1(1): canonicalize refuses the map
         # itself, so it is not total
         make_eppm(pieces=[Piece("0", "0"), Piece("00", "1"), Piece("1", "1")]),
+        # 0(1) and 10(1) both go to 0(1), the piece's range meets the
+        # family's layer 0: the raw map inverts into a total map, and only
+        # the normal form {(0->0); (1->e)} shows the meeting ranges
+        make_eppm(pieces=[Piece("0", "0")], families=[Family("1", "", 1, 1, (("0", "0"),))]),
     ],
-    ids=["nested-family-ranges", "nested-piece-ranges", "equal-piece-ranges", "nested-piece-doms"],
+    ids=[
+        "nested-family-ranges",
+        "nested-piece-ranges",
+        "equal-piece-ranges",
+        "nested-piece-doms",
+        "piece-range-in-a-family-layer",
+    ],
 )
 def test_a_map_that_is_not_injective_is_not_a_bijection(f):
     # the bijection gate reports every refusal of the inverse as NotBijective
@@ -953,7 +963,7 @@ def _boundary_points(h, depth=14):
         pts.append(ev_periodic(p.dom, "1"))
     uniq = sorted(set((q.pre, q.per) for q in pts))
     pts = [ev_periodic(a, b) for a, b in uniq]
-    pts.sort(key=lambda q: [q.letter(i) for i in range(48)])
+    pts.sort(key=lambda q: q.prefix(48))
     return pts
 
 

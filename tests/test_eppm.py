@@ -1,8 +1,9 @@
 import random
+import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fskit.dynamics import caret_map, evaluate_word, generator_map
 from fskit.eppm import (
@@ -12,6 +13,7 @@ from fskit.eppm import (
     NotBijective,
     Piece,
     UndefinedAt,
+    atom_at,
     canonicalize,
     compose,
     equals,
@@ -339,6 +341,8 @@ families = st.builds(
 
 @settings(max_examples=400)
 @given(family=families, ones=st.integers(0, 14), tail=bit_words, based=st.booleans())
+# layers 0 and 1 both have a piece on the cone 110: the lower comes first
+@example(family=Family("", "", 2, 1, (("0", "0"), ("110", "1"))), ones=2, tail="0", based=True)
 def test_restrict_family_matches_layer_scan(family, ones, tail, based):
     # cones below the family's base and its 1-run, and arbitrary cones; past
     # the base, a cone with a 0 in it is refused by a block of 1s alone,
@@ -362,6 +366,62 @@ def test_a_block_of_ones_alone_is_refused():
         evaluate(make_eppm(families=[fam]), parse_point("110(0)"))
     with pytest.raises(EppmError, match="holds the accumulation point"):
         canonicalize(make_eppm(families=[fam]))
+
+
+def atom_at_by_restriction(f, p):
+    """atom_at by building the whole layer of the point's cone with
+    restrict_family and scanning it, the reference for reading the layer
+    off the point's 1-run."""
+    for piece in f.pieces:
+        if p.starts_with(piece.dom):
+            return piece
+    for fam in f.families:
+        if not p.starts_with(fam.dom_base):
+            continue
+        rest = p.drop(len(fam.dom_base))
+        if rest.is_constant("1"):
+            if fam.carries_limit:
+                return fam
+            continue
+        cone = fam.dom_base + "1" * rest.leading_run("1") + "0"
+        for piece in restrict_family(fam, cone)[0]:
+            if p.starts_with(piece.dom):
+                return piece
+    return next((pair for pair in f.limits if p == pair[0]), None)
+
+
+@settings(max_examples=400)
+@given(
+    family=families,
+    ones=st.integers(0, 14),
+    tail=bit_words,
+    period=st.text(alphabet="01", min_size=1, max_size=4),
+    based=st.booleans(),
+    limit=st.booleans(),
+    isolated=st.booleans(),
+    piece=st.none() | st.tuples(bit_words, bit_words),
+)
+def test_atom_at_matches_the_restricted_layer(
+    family, ones, tail, period, based, limit, isolated, piece
+):
+    # any family, with points in its cone and 1-run, its limit point and
+    # points anywhere, behind a written piece or none, and an isolated
+    # limit at the point or none: the same piece, family limit, isolated
+    # limit or None, and a block of 1s alone refused with the same message
+    pre = (family.dom_base + "1" * ones if based else "") + tail
+    p = ev_periodic(family.dom_base, "1") if limit else ev_periodic(pre, period)
+    f = make_eppm(
+        pieces=[Piece(*piece)] if piece else [],
+        families=[family],
+        limits=[(p, ev_periodic("0", period))] if isolated else [],
+    )
+    try:
+        expected = atom_at_by_restriction(f, p)
+    except EppmError as refusal:
+        with pytest.raises(EppmError, match=f"^{re.escape(str(refusal))}$"):
+            atom_at(f, p)
+    else:
+        assert atom_at(f, p) == expected
 
 
 def evaluate_by_scan(f, p):

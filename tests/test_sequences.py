@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from fskit.sequences import EvPeriodic, PointSyntaxError, ev_periodic, parse_point
 
-from point_relations import compare, tail_equivalent
+from point_relations import compare, letter, tail_equivalent
 
 
 binary = st.text(alphabet="01", max_size=6)
@@ -29,7 +29,7 @@ def test_normal_form_preserves_sequence(pre, per):
     reference = [
         (pre + per * 8)[i] for i in range(len(pre) + 4 * len(per))
     ]
-    assert [p.letter(i) for i in range(len(reference))] == reference
+    assert [letter(p, i) for i in range(len(reference))] == reference
 
 
 @given(binary, binary1, binary, binary1)
@@ -43,7 +43,40 @@ def test_equality_is_extensional(pre1, per1, pre2, per2):
 @given(binary, binary1, st.integers(0, 10))
 def test_drop_then_letters(pre, per, k):
     p = ev_periodic(pre, per)
-    assert p.drop(k).prefix(10) == "".join(p.letter(k + i) for i in range(10))
+    assert p.drop(k).prefix(10) == "".join(letter(p, k + i) for i in range(10))
+
+
+@given(binary, binary1)
+def test_drop_is_the_normal_form_of_the_rest(pre, per):
+    # past max(n, |u|) letters the rest repeats with the period, so its
+    # normal form is built from letters alone
+    p = ev_periodic(pre, per)
+    u, v = p.pre, p.per
+    for n in range(len(u) + 3 * len(v) + 1):
+        start = max(n, len(u))
+        head = p.prefix(start)[n:]
+        period = "".join(letter(p, i) for i in range(start, start + len(v)))
+        assert p.drop(n) == ev_periodic(head, period), n
+
+
+@given(binary, binary, binary1)
+def test_prepend_is_the_normal_form_of_the_longer_sequence(w, pre, per):
+    p = ev_periodic(pre, per)
+    assert p.prepend(w) == ev_periodic(w + p.pre, p.per)
+    # a word that is not binary is refused whatever the preperiod
+    with pytest.raises(PointSyntaxError):
+        p.prepend(w + "2")
+
+
+@given(binary, binary1, st.sampled_from("01"))
+def test_leading_run_counts_letters(pre, per, ch):
+    p = ev_periodic(pre, per)
+    if p.is_constant(ch):
+        with pytest.raises(ValueError):
+            p.leading_run(ch)
+    else:
+        run = p.leading_run(ch)
+        assert p.prefix(run + 1) == ch * run + ("1" if ch == "0" else "0")
 
 
 @given(binary, binary, binary1)
@@ -63,7 +96,7 @@ def test_bad_letters_and_empty_period_are_rejected(pre, per):
 @given(binary, binary1, st.text(alphabet="01", max_size=20))
 def test_starts_with_and_prefix_agree_with_letters(pre, per, w):
     p = ev_periodic(pre, per)
-    letters = "".join(p.letter(i) for i in range(len(w)))
+    letters = "".join(letter(p, i) for i in range(len(w)))
     assert p.prefix(len(w)) == letters
     assert p.starts_with(w) == (w == letters)
     # a word read off the sequence itself, and the same word with its last
