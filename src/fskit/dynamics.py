@@ -106,7 +106,7 @@ def _total_form(f: Eppm, error: EppmError) -> Eppm:
     unless f is total, or, when `error` is a NotBijective, a bijection."""
     try:
         f = canonicalize(f)
-    except EppmError as refusal:  # two piece doms meet: f is no function
+    except EppmError as refusal:  # f is no function
         raise error from refusal
     if not (f.bijective if isinstance(error, NotBijective) else f.total):
         raise error

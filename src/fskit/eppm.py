@@ -1,8 +1,9 @@
 """Tail-periodic piecewise prefix maps on the Cantor space, exactly.
 
-An Eppm is a partial injective continuous map on {0,1}^N given by finitely
-many prefix-replacement pieces (u |-> v means u.z |-> v.z on the cone u),
+An Eppm is a partial continuous map on {0,1}^N given by finitely many
+prefix-replacement pieces (u |-> v means u.z |-> v.z on the cone u),
 finitely many tail families, and finitely many isolated limit assignments.
+canonicalize alone checks that such data is a function.
 
 A tail family with bases (db, rb), steps (c, c') and blocks (d_j, r_j)
 denotes the pieces
@@ -118,17 +119,26 @@ class Eppm:
     @cached_property
     def total(self) -> bool:
         try:
-            return is_total(self)
-        except EppmError:  # canonicalize refuses: two piece doms meet
+            return is_total(canonicalize(self))
+        except EppmError:  # canonicalize refuses: f is not a function
             return False
 
     @cached_property
     def bijective(self) -> bool:
         if not self.total:
             return False
+        f = canonicalize(self)
+        inv = invert(f)
+        # dom(inv)'s identity merges equal limits: their images are checked here
+        images = {fam.limit_dom: fam.limit_ran for fam in f.families if fam.carries_limit}
+        images.update(f.limits)
         try:
-            return is_total(invert(canonicalize(self)))
-        except EppmError:  # invert or canonicalize refuses: not injective
+            return (
+                len(set(images.values())) == len(images)
+                and not any(in_domain(Eppm(inv.pieces, inv.families), q) for _, q in f.limits)
+                and is_total(inv)
+            )
+        except EppmError:  # the inverse is not a function: f is not injective
             return False
 
     @property
@@ -271,12 +281,8 @@ def in_domain(f: Eppm, p: EvPeriodic) -> bool:
 
 
 def invert(f: Eppm) -> Eppm:
-    """The inverse of f.  Raises NotBijective where two piece ranges meet,
-    which in sorted order is where one range prefixes its successor."""
-    rans = sorted(p.ran for p in f.pieces)
-    for r, s in zip(rans, rans[1:]):
-        if s.startswith(r):
-            raise NotBijective(f"the ranges {r or 'e'} and {s or 'e'} of two pieces meet")
+    """Every atom of f with its sides swapped, the inverse of f if f is
+    injective.  canonicalize refuses the result if it is not a function."""
     pieces = tuple(Piece(p.ran, p.dom) for p in f.pieces)
     fams = tuple(
         Family(
@@ -316,7 +322,7 @@ def compose(f: Eppm, g: Eppm) -> Eppm:
             limits.append((lp, evaluate(f, lq)))
         except UndefinedAt:
             pass
-    g_inv = invert(g) if f.limits else None
+    g_inv = canonicalize(invert(g)) if f.limits else None
     for fq, fy in f.limits:
         try:
             limits.append((evaluate(g_inv, fq), fy))
@@ -483,14 +489,18 @@ def _run_parent(ran: Run, bit: str) -> Optional[Run]:
     return (z, a - 1, q, "") if bit == "1" and a > 0 else None
 
 
-def _reduce(pieces: dict, parent) -> dict:
+def _reduce(pieces: dict, parent, root: str) -> dict:
     """Every sibling merge (u0 -> v0, u1 -> v1 into u -> v) of the pieces
-    {dom: ran}; parent(ran, bit) drops a last letter `bit` of a range, or
-    is None if the range does not end in it."""
+    {dom: ran}, refused where in sorted order a dom prefixes the next (doms
+    relative to the cone root); parent(ran, bit) drops a last letter `bit`
+    of a range, or is None if the range does not end in it."""
     if len(pieces) < 2:
         return pieces
+    todo = sorted(pieces)
+    if any(map(str.startswith, todo[1:], todo)):
+        u, w = next((u, w) for u, w in zip(todo, todo[1:]) if w.startswith(u))
+        raise EppmError(f"the doms {root + u or 'e'} and {root + w or 'e'} of two pieces meet")
     out = dict(pieces)
-    todo = sorted(out, key=len)
     while todo:
         u = todo.pop()
         if not u or u not in out:
@@ -527,18 +537,18 @@ def _point_form(
     x: str,
     fams: list[Family],
     inside: dict[str, str],
-    walls: list[str],
+    walls: list[Family],
     image: Optional[EvPeriodic],
 ) -> tuple[dict[str, str], list[Family]]:
     """The normal form on the cone x: explicit pieces {dom: ran} and
     families.  `fams` are the families at x.1^inf, `inside` the pieces in
-    the cone, `walls` the family cones of deeper points in it, and `image`
+    the cone, `walls` the families of deeper points in it, and `image`
     the image of x.1^inf, if any."""
     period = lcm(*(fam.dom_step for fam in fams))
     # (dom step, first slab of the block, dom in the slab, ran run)
     items = [(fam.dom_step, n, u, run) for fam in fams for _, n, u, run in slabs(fam)]
     placed = [(*_slab_of(x, w), v) for w, v in inside.items()]
-    walled = {_slab_of(x, w)[0] for w in walls}
+    walled = {_slab_of(x, fam.dom_base)[0] for fam in walls}
     # from slab `start` on, only the families act, periodically
     start = max(
         [n for _, n, _, _ in items] + [n + 1 for n, _, _ in placed] + [n + 1 for n in walled]
@@ -550,11 +560,20 @@ def _point_form(
     pattern: list[dict[str, Run]] = [{} for _ in range(period)]
     for c, first, u, (z, a, q, rest) in items:
         for m, n in enumerate(range(first, start, c)):
+            if u in explicit[n]:
+                raise EppmError(f"two atoms act on the cone {x + _ones(n) + '0' + u}")
             explicit[n][u] = z + _ones(a + m * q) + rest
         for n in range(start + (first - start) % c, start + period, c):
+            if u in pattern[n - start]:
+                raise EppmError(f"two atoms act on the cone {x + _ones(n) + '0' + u}")
             pattern[n - start][u] = (z, a + (n - first) // c * q, q * period // c, rest)
-    explicit = [_reduce(slab, _ran_parent) for slab in explicit]
-    pattern = [_reduce(slab, _run_parent) for slab in pattern]
+    for fam in walls:  # a block may not hold a deeper family's cone or meet its layers
+        n, u = _slab_of(x, fam.dom_base)
+        cones = [x + _ones(n) + "0" + v for v in explicit[n] if v.startswith(u) or u.startswith(v)]
+        if any(len(w) <= len(fam.dom_base) or any(restrict_family(fam, w)) for w in cones):
+            raise EppmError(f"a piece meets the family at {fam.dom_base}")
+    explicit = [_reduce(s, _ran_parent, x + _ones(n) + "0") for n, s in enumerate(explicit)]
+    pattern = [_reduce(s, _run_parent, x + _ones(start + n) + "0") for n, s in enumerate(pattern)]
 
     def pattern_at(n: int, shift: int = 0) -> Optional[dict[str, Run]]:
         """The periodic pattern at slab n, each run moved on by shift/period
@@ -626,31 +645,32 @@ def canonicalize(f: Eppm) -> Eppm:
     everything sorted.  One pass over the accumulation points, deepest
     first, so that a nested point's family cone is a wall in its parent's
     slab.  The result is marked, so that canonicalizing it again costs
-    nothing.  Raises EppmError where the doms of two pieces meet, as f then
-    acts twice on one cone."""
+    nothing.  The one check that f is a function: raises EppmError where two
+    atoms act on one cone, even equal ones, or one point gets two images."""
     if f.normal:
         return f
-    pieces = {p.dom: p.ran for p in f.pieces}
-    # two pieces meet where they share a dom but not a range, or where one
-    # dom prefixes its successor in sorted order
-    meets = [(p.dom, p.dom) for p in f.pieces if pieces[p.dom] != p.ran]
-    doms = sorted(pieces)
-    meets += [(u, w) for u, w in zip(doms, doms[1:]) if w.startswith(u)]
-    if meets:
-        u, w = meets[0]
-        raise EppmError(f"the doms {u or 'e'} and {w or 'e'} of two pieces meet")
     images = dict(f.limits)
+    carried = [(fam.limit_dom, fam.limit_ran) for fam in f.families if fam.carries_limit]
+    for p, q in f.limits + tuple(carried):
+        if images.setdefault(p, q) != q:
+            raise EppmError(f"the point {p} gets two images {images[p]} and {q}")
     at_point: dict[str, list[Family]] = {}
     for fam in f.families:
-        if fam.carries_limit:
-            images[fam.limit_dom] = fam.limit_ran
         if fam.blocks:
             at_point.setdefault(fam.dom_base.rstrip("1"), []).append(fam)
+    # a piece meets a piece, or holds a point, where in sorted order it prefixes the next
+    doms = sorted([p.dom for p in f.pieces] + list(at_point))
+    for u, w in zip(doms, doms[1:]) if any(map(str.startswith, doms[1:], doms)) else ():
+        if w.startswith(u) and u not in at_point:
+            if w in at_point:
+                raise EppmError(f"cone {u or 'e'} holds the accumulation point {w or 'e'}.1^inf")
+            raise EppmError(f"the doms {u or 'e'} and {w or 'e'} of two pieces meet")
+    pieces = {p.dom: p.ran for p in f.pieces}
 
     families: list[Family] = []
     for x in sorted(at_point, key=lambda x: (-len(x), x)):
         inside = {w: pieces.pop(w) for w in [w for w in pieces if w.startswith(x)]}
-        walls = [fam.dom_base for fam in families if fam.dom_base.startswith(x)]
+        walls = [fam for fam in families if fam.dom_base.startswith(x)]
         point = EvPeriodic(x, "1")
         more_pieces, more_families = _point_form(
             x, at_point[x], inside, walls, images.get(point)
@@ -662,7 +682,7 @@ def canonicalize(f: Eppm) -> Eppm:
     families.sort(key=lambda fam: (fam.dom_base, fam.dom_step, fam.blocks, fam.ran_base))
 
     out = Eppm(
-        tuple(Piece(u, v) for u, v in sorted(_reduce(pieces, _ran_parent).items())),
+        tuple(Piece(u, v) for u, v in sorted(_reduce(pieces, _ran_parent, "").items())),
         tuple(families),
     )
     if images:
@@ -670,6 +690,9 @@ def canonicalize(f: Eppm) -> Eppm:
             ((p, q) for p, q in images.items() if not in_domain(out, p)),
             key=lambda pq: (pq[0].pre, pq[0].per),
         )
+        for p, q in images.items() - set(limits):  # inside an atom
+            if evaluate(out, p) != q:
+                raise EppmError(f"the point {p} gets two images {evaluate(out, p)} and {q}")
         out = Eppm(out.pieces, out.families, tuple(limits))
     object.__setattr__(out, "normal", True)
     return out

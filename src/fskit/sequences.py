@@ -25,7 +25,9 @@ def _primitive(v: str) -> str:
 
 @dataclass(frozen=True)
 class EvPeriodic:
-    """Normalized eventually periodic sequence pre.(per)^inf."""
+    """Normalized eventually periodic sequence pre.(per)^inf.  The
+    constructor trusts that the pair is normal, and the methods read it so;
+    input from outside goes through ev_periodic or parse_point."""
 
     pre: str
     per: str

@@ -607,22 +607,35 @@ def test_support_refuses_a_family_whose_ranges_nest():
         support(f)
 
 
+# total and onto, but 0(1) and 100(1) both go to 0(1): the piece's range
+# is the first block's range at layer 0
+PIECE_RANGE_IN_A_FAMILY_BLOCK = make_eppm(
+    pieces=[Piece("0", "0")], families=[Family("1", "", 1, 2, (("00", "0"), ("01", "10")))]
+)
+# total and onto, and the two families' ranges are disjoint, but both carry
+# a limit to (1)
+TWO_LIMITS_TO_ONE_POINT = make_eppm(
+    families=[Family("0", "", 1, 2, (("0", "0"),)), Family("1", "1", 1, 2, (("0", "0"),))]
+)
+
+
 @pytest.mark.parametrize(
     "f",
     [
         # the map above: canonicalize refuses its inverse, which is not a map
         make_eppm(families=[Family("", "", 2, 1, (("0", ""), ("10", "0")))]),
         # total and onto, but 00(1) and 10(1) both go to 0(1): the piece
-        # ranges e and 0 meet, so invert refuses it
+        # ranges e and 0 meet, so canonicalize refuses the inverse
         make_eppm(pieces=[Piece("0", ""), Piece("10", "0"), Piece("11", "1")]),
         make_eppm(pieces=[Piece("0", ""), Piece("1", "")]),
         # 00(1) goes to both 0(1) and 1(1): canonicalize refuses the map
         # itself, so it is not total
         make_eppm(pieces=[Piece("0", "0"), Piece("00", "1"), Piece("1", "1")]),
         # 0(1) and 10(1) both go to 0(1), the piece's range meets the
-        # family's layer 0: the raw map inverts into a total map, and only
-        # the normal form {(0->0); (1->e)} shows the meeting ranges
+        # family's layer 0
         make_eppm(pieces=[Piece("0", "0")], families=[Family("1", "", 1, 1, (("0", "0"),))]),
+        PIECE_RANGE_IN_A_FAMILY_BLOCK,
+        TWO_LIMITS_TO_ONE_POINT,
     ],
     ids=[
         "nested-family-ranges",
@@ -630,16 +643,30 @@ def test_support_refuses_a_family_whose_ranges_nest():
         "equal-piece-ranges",
         "nested-piece-doms",
         "piece-range-in-a-family-layer",
+        "piece-range-in-a-family-block",
+        "two-limits-to-one-point",
     ],
 )
 def test_a_map_that_is_not_injective_is_not_a_bijection(f):
     # the bijection gate reports every refusal of the inverse as NotBijective
     assert not f.bijective
+    with pytest.raises(EppmError):
+        canonicalize(invert(f))
     with pytest.raises(NotBijective, match="^F/T/V membership requires a bijection"):
         classify_element(f)
     for pair in ((f, IDENTITY), (IDENTITY, f)):
         with pytest.raises(NotBijective, match="^the bi-order requires a bijection"):
             bi_order_compare(*pair)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [PIECE_RANGE_IN_A_FAMILY_BLOCK, TWO_LIMITS_TO_ONE_POINT],
+    ids=["piece-range-in-a-family-block", "two-limits-to-one-point"],
+)
+def test_a_total_function_that_is_not_injective(f):
+    # canonicalize accepts the map itself: only its inverse is refused
+    assert canonicalize(f).total and f.total
 
 
 def test_lined_up_layer_is_the_only_one():
@@ -1083,11 +1110,11 @@ def test_order_counterexamples_have_witnesses():
     assert not is_order_preserving(c) and not is_cyclic_order_preserving(c)
     # two families at the point (1) that head for 0(1) and (1): each keeps
     # order, and their ranges lie in the cones 0 and 1, but their slabs
-    # alternate
+    # alternate; only the first carries the limit, which (1) cannot have twice
     d = make_eppm(
         families=[
             Family("", "0", 1, 1, (("00", "0"),)),
-            Family("", "1", 1, 1, (("01", "0"),)),
+            Family("", "1", 1, 1, (("01", "0"),), carries_limit=False),
         ]
     )
     assert is_total(d)

@@ -5,12 +5,19 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fskit.dynamics import caret_map, evaluate_word, generator_map
+from fskit.dynamics import (
+    caret_map,
+    classify_element,
+    evaluate_word,
+    generator_map,
+    is_order_preserving,
+)
 from fskit.eppm import (
     EppmError,
     Family,
     IDENTITY,
     NotBijective,
+    NotTotal,
     Piece,
     UndefinedAt,
     atom_at,
@@ -93,22 +100,12 @@ def test_invert_b1_image(j3):
 @pytest.mark.parametrize(
     "pieces, message",
     [
-        ([Piece("0", ""), Piece("10", "0"), Piece("11", "1")], "e and 0"),
-        ([Piece("0", ""), Piece("1", "")], "e and e"),
-    ],
-)
-def test_invert_refuses_meeting_piece_ranges(pieces, message):
-    with pytest.raises(NotBijective, match=f"the ranges {message} of two pieces meet"):
-        invert(make_eppm(pieces=pieces))
-
-
-@pytest.mark.parametrize(
-    "pieces, message",
-    [
         # 00 lies in the cone 0, and 00(1) would go to 1(1) or to 00(1)
         ([Piece("0", "0"), Piece("00", "1"), Piece("1", "1")], "0 and 00"),
         ([Piece("0", "0"), Piece("0", "1"), Piece("1", "")], "0 and 0"),
         ([Piece("", ""), Piece("1", "1")], "e and 1"),
+        # the same piece twice acts twice on its cone too
+        ([Piece("0", "1"), Piece("1", "0"), Piece("0", "1")], "0 and 0"),
     ],
 )
 def test_canonicalize_refuses_meeting_piece_doms(pieces, message):
@@ -116,10 +113,105 @@ def test_canonicalize_refuses_meeting_piece_doms(pieces, message):
         canonicalize(make_eppm(pieces=pieces))
 
 
-def test_canonicalize_merges_identical_pieces():
-    f = make_eppm(pieces=[Piece("0", "1"), Piece("1", "0"), Piece("0", "1")])
-    assert canonicalize(f) == canonicalize(make_eppm(pieces=[Piece("0", "1"), Piece("1", "0")]))
-    assert str(canonicalize(f)) == "{(0->1); (1->0)}"
+# maps that are not functions, and where canonicalize says so
+NOT_FUNCTIONS = {
+    # 10 is the family's layer 0
+    "piece-in-a-family-layer": (
+        make_eppm(pieces=[Piece("10", "0")], families=[Family("1", "1", 1, 1, (("0", "0"),))]),
+        "two atoms act on the cone 10",
+    ),
+    # the second family's layers are the first's even ones
+    "two-families-at-one-point": (
+        make_eppm(
+            families=[Family("", "", 1, 1, (("0", "0"),)), Family("", "", 2, 2, (("0", "00"),))]
+        ),
+        "two atoms act on the cone 0",
+    ),
+    # the piece 1 holds the family's point 10(1)
+    "piece-over-a-family-point": (
+        make_eppm(pieces=[Piece("1", "1")], families=[Family("10", "10", 1, 2, (("0", "0"),))]),
+        re.escape("cone 1 holds the accumulation point 10.1^inf"),
+    ),
+    # the layer 0 of the family at (1) is the cone of the family at 0(1)
+    "family-layer-over-a-deeper-family": (
+        make_eppm(
+            families=[Family("", "", 1, 2, (("0", "0"),)), Family("0", "0", 1, 2, (("0", "0"),))]
+        ),
+        "a piece meets the family at 0",
+    ),
+    # the layer 0 of the family at (1) holds 001, the layer 0 of the family at 0(1)
+    "family-layer-in-a-deeper-family-layer": (
+        make_eppm(
+            families=[
+                Family("", "", 1, 1, (("000", "000"), ("001", "001"))),
+                Family("0", "0", 1, 1, (("01", "01"),)),
+            ]
+        ),
+        "a piece meets the family at 0",
+    ),
+    "carried-against-isolated-limit": (
+        make_eppm(
+            families=[Family("", "", 1, 1, (("0", "0"),))],
+            limits=[(parse_point("(1)"), parse_point("(0)"))],
+        ),
+        re.escape("the point (1) gets two images (0) and (1)"),
+    ),
+    "isolated-limit-inside-a-piece": (
+        make_eppm(pieces=[Piece("", "")], limits=[(parse_point("(0)"), parse_point("(1)"))]),
+        re.escape("the point (0) gets two images (0) and (1)"),
+    ),
+    "two-isolated-limits": (
+        make_eppm(
+            pieces=[Piece("0", "0")],
+            limits=[
+                (parse_point("(1)"), parse_point("(1)")),
+                (parse_point("(1)"), parse_point("0(1)")),
+            ],
+        ),
+        re.escape("the point (1) gets two images 0(1) and (1)"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NOT_FUNCTIONS)
+def test_canonicalize_refuses_a_map_that_is_not_a_function(name):
+    f, message = NOT_FUNCTIONS[name]
+    with pytest.raises(EppmError, match=f"^{message}$"):
+        canonicalize(f)
+    assert not f.total and not f.bijective
+    with pytest.raises(NotTotal):
+        is_order_preserving(f)
+    with pytest.raises(NotBijective):
+        classify_element(f)
+
+
+def test_a_block_in_a_gap_of_a_deeper_family_is_kept():
+    # the layer 0 of the family at (1) is the cone 000, where the family at
+    # 0(1) does not act: the map is a function, and canonicalize keeps it
+    f = make_eppm(
+        families=[Family("", "", 1, 1, (("000", "000"),)), Family("0", "0", 1, 1, (("01", "01"),))]
+    )
+    normal = canonicalize(f)
+    for p in ("000(1)", "0001(0)", "001(0)", "0101(0)", "0(1)", "1000(1)"):
+        assert evaluate(normal, parse_point(p)) == evaluate(f, parse_point(p)) == parse_point(p)
+    assert not in_domain(normal, parse_point("01(0)"))
+
+
+def test_limits_that_agree_merge():
+    point = parse_point("(0)")
+    assert canonicalize(make_eppm(pieces=[Piece("", "")], limits=[(point, point)])) == IDENTITY
+    fam = Family("", "", 1, 1, (("0", "0"),))
+    one = parse_point("(1)")
+    assert canonicalize(make_eppm(families=[fam], limits=[(one, one), (one, one)])) == IDENTITY
+
+
+def test_compose_pulls_a_limit_back_only_through_an_injective_map():
+    # g sends 0(1) and 1(1) both to (1), so f's limit at (1) has no one
+    # preimage: the inverse of g is refused
+    f = make_eppm(pieces=[Piece("0", "0")], limits=[(parse_point("(1)"), parse_point("(1)"))])
+    g = make_eppm(pieces=[Piece("0", ""), Piece("1", "")])
+    with pytest.raises(EppmError, match="the doms e and e of two pieces meet"):
+        compose(f, g)
 
 
 def test_invert_involution(j3):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 import time
+from fractions import Fraction
+from pathlib import Path
 from dataclasses import replace
 
 import pytest
@@ -45,7 +47,10 @@ from fskit.eppm import (
     slabs,
 )
 from fskit.sequences import ev_periodic
+import normal_form_corpus
 import region_walk
+from cone_measure import cone_measure
+from test_eppm import NOT_FUNCTIONS
 
 CLASSES = {
     "j3": vine_class(J3_TEXT),
@@ -352,3 +357,47 @@ def test_a_tail_range_reduces_into_its_run():
     for _ in range(200):
         p = random_point(rng)
         assert evaluate(normal, p) == evaluate(f, p)
+
+
+def test_normal_forms_match_the_golden_file():
+    # str forms, totality, bijectivity and F/T/V on seeded maps, written by
+    # tests/normal_form_corpus.py
+    golden = Path(__file__).parent / "golden" / "normal_forms.txt"
+    assert normal_form_corpus.text().encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_a_total_function_covers_the_space_once(name):
+    # seeded fractions and words, their inverses and products, and other
+    # writings of each: every one that is total has cone measure 1
+    cls = CLASSES[name]
+    rng = random.Random(f"cone measure {name}")
+    maps = [random_fraction(cls, rng) for _ in range(12)]
+    maps += [evaluate_word(cls, random_signed_word(rng, rng.randint(1, 6))) for _ in range(12)]
+    maps += [invert(f) for f in maps]
+    maps += [compose(rng.choice(maps), rng.choice(maps)) for _ in range(12)]
+    maps += [unrolled(f, rng.randint(1, 3)) for f in maps] + [split_at_root(f) for f in maps]
+    total = [f for f in maps if f.total]
+    assert len(total) >= len(maps) // 2
+    for f in total:
+        assert cone_measure(f) == 1, str(f)
+
+
+def test_a_total_map_with_two_atoms_on_a_cone_covers_it_twice():
+    # among the maps canonicalize refuses, the total ones that act twice on
+    # a cone; the two that give one point two images have measure 1, as a
+    # point has measure 0
+    assert cone_measure(NOT_FUNCTIONS["two-families-at-one-point"][0]) == Fraction(5, 3)
+    assert cone_measure(NOT_FUNCTIONS["family-layer-over-a-deeper-family"][0]) == Fraction(3, 2)
+    overlaps = [
+        [Piece("0", "0"), Piece("00", "1"), Piece("1", "1")],
+        [Piece("0", "1"), Piece("1", "0"), Piece("0", "1")],
+        [Piece("", ""), Piece("1", "1")],
+    ]
+    assert [cone_measure(make_eppm(pieces=p)) for p in overlaps] == [
+        Fraction(5, 4),
+        Fraction(3, 2),
+        Fraction(3, 2),
+    ]
+    for name in ("carried-against-isolated-limit", "isolated-limit-inside-a-piece"):
+        assert cone_measure(NOT_FUNCTIONS[name][0]) == 1
