@@ -100,6 +100,22 @@ def test_invert_b1_image(j3):
 @pytest.mark.parametrize(
     "pieces, message",
     [
+        ([Piece("0", ""), Piece("10", "0"), Piece("11", "1")], "e and 0"),
+        ([Piece("0", ""), Piece("1", "")], "e and e"),
+    ],
+)
+def test_invert_refuses_meeting_piece_ranges(pieces, message):
+    # invert swaps the sides and checks nothing: the ranges that meet become
+    # doms that meet, and canonicalize refuses the inverse
+    f = make_eppm(pieces=pieces)
+    assert not f.bijective
+    with pytest.raises(EppmError, match=f"the doms {message} of two pieces meet"):
+        canonicalize(invert(f))
+
+
+@pytest.mark.parametrize(
+    "pieces, message",
+    [
         # 00 lies in the cone 0, and 00(1) would go to 1(1) or to 00(1)
         ([Piece("0", "0"), Piece("00", "1"), Piece("1", "1")], "0 and 00"),
         ([Piece("0", "0"), Piece("0", "1"), Piece("1", "")], "0 and 0"),
